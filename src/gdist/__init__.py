@@ -12,6 +12,7 @@ from .errors import (
     MeanMismatchError,
     NonPhysicalStateError,
     NotSymplecticError,
+    NumericalFailureError,
     StateFormatError,
     TruncationError,
     UnsupportedPairError,
@@ -27,6 +28,7 @@ from .fidelity import (
 from .fock import (
     FockOperator,
     adequate_dim,
+    auto_state,
     build_state,
     choose_dim,
     fidelity_fock,

@@ -5,24 +5,37 @@ recomputes fidelity, homodyne marginals, and overlaps from first principles
 (operator exponentials, eigendecompositions, quadrature wavefunctions).  No
 Gaussian closed form is reused, so these routines serve as an independent
 check on the rest of the package.
+
+The squeeze and displacement exponentials are exact exponentials of the
+truncated generators, taken through eigendecompositions computed once per
+dimension instead of scaling-and-squaring.  Both generators are phase
+conjugations of real antisymmetric tridiagonal matrices: with U = diag(e^{in
+theta}), U (a^dag - a) U^dag = e^{i theta} a^dag - e^{-i theta} a, and
+a^dag^2 - a^2 splits into even and odd parity blocks of the same shape.  Each
+such matrix A is i V^dag T V with V = diag(i^k) and T real symmetric
+tridiagonal, so exp(tA) follows from the eigenpairs of T in real arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import TruncationError
+from .errors import NumericalFailureError, TruncationError
 from .states import GaussianParams
 
 LEAKAGE_TOL = 1e-6
 AUTO_LEAKAGE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 MAX_AUTO_DIM = 1024
+MAX_CACHED_STATES = 32
+MAX_CACHED_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +67,23 @@ class FockOperator:
         """Probability lost past the truncation (1 - trace, for states)."""
         return 1.0 - self.trace
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """L (dim x rank) with L L^dag = the operator, from its eigendecomposition.
+
+        Small negative eigenvalues from truncation are clipped to zero, and
+        eigenvalues at roundoff scale relative to the largest are dropped:
+        they are true zeros of near-pure states, and keeping them would lift
+        sqrt noise from 1e-16 to 1e-8.
+        """
+        w, v = np.linalg.eigh(self.matrix)
+        if np.any(w <= -1e-10):
+            raise NumericalFailureError("operator has a significantly negative eigenvalue")
+        keep = w >= 1e-14 * w.max()
+        out = v[:, keep] * np.sqrt(w[keep])
+        out.setflags(write=False)
+        return out
+
 
 @lru_cache(maxsize=32)
 def annihilation(dim: int) -> np.ndarray:
@@ -62,9 +92,73 @@ def annihilation(dim: int) -> np.ndarray:
     return a
 
 
+def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the real symmetric tridiagonal with zero diagonal."""
+    w, q = eigh_tridiagonal(np.zeros(offdiag.size + 1), offdiag)
+    w.setflags(write=False)
+    q.setflags(write=False)
+    return w, q
+
+
+@lru_cache(maxsize=4)
+def _displacement_eigen(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a + a^dag, the tridiagonal image of a^dag - a."""
+    return _tridiagonal_eigen(np.sqrt(np.arange(1.0, dim)))
+
+
+@lru_cache(maxsize=4)
+def _squeeze_eigen(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs for the even and odd blocks of a^dag^2 - a^2 (levels parity::2)."""
+    blocks = []
+    for parity in range(min(2, dim)):
+        n = np.arange(parity, dim - 2, 2, dtype=float)
+        blocks.append(_tridiagonal_eigen(np.sqrt((n + 1.0) * (n + 2.0))))
+    return tuple(blocks)
+
+
+# Re(i^j) and Im(i^j) for j mod 4
+_RE_POW_I = np.array([1.0, 0.0, -1.0, 0.0])
+_IM_POW_I = np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _orthogonal_core(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(tA) for A real antisymmetric tridiagonal with A[k+1, k] = e_k > 0.
+
+    A = i V^dag T V with T the symmetric tridiagonal on e and V = diag(i^k),
+    whose eigenpairs (w, q) are given.  So exp(tA) = V^dag (C + iS) V with
+    C = q cos(tw) q^T and S = q sin(tw) q^T, and entry (k, l) of this real
+    orthogonal matrix is Re(i^(l-k)) C_kl - Im(i^(l-k)) S_kl.
+    """
+    w, q = eigen
+    c = (q * np.cos(t * w)) @ q.T
+    s = (q * np.sin(t * w)) @ q.T
+    k = np.arange(w.size)
+    shift = (k[None, :] - k[:, None]) % 4  # (l - k) mod 4 at (k, l)
+    return _RE_POW_I[shift] * c - _IM_POW_I[shift] * s
+
+
+def _phases(angle: float, dim: int) -> np.ndarray:
+    """e^{i (m - n) angle} at (m, n): conjugation by diag(e^{i n angle}), 1 on the diagonal.
+
+    A read-only Toeplitz view of the 2 dim - 1 distinct values: row m holds
+    v[dim - 1 - m + n] with v[j] = e^{i (dim - 1 - j) angle}.
+    """
+    v = np.exp(1j * angle * np.arange(dim - 1, -dim, -1))
+    return sliding_window_view(v, dim)[::-1]
+
+
 def displacement_op(alpha: complex, dim: int) -> np.ndarray:
-    a = annihilation(dim)
-    return expm(alpha * a.conj().T - np.conjugate(alpha) * a)
+    """exp(alpha a^dag - alpha^* a) with truncated a.
+
+    The generator is |alpha| U (a^dag - a) U^dag with U = diag(e^{i n arg alpha}).
+    """
+    core = _orthogonal_core(_displacement_eigen(dim), abs(alpha))
+    return _phases(float(np.angle(alpha)), dim) * core
+
+
+def _squeeze_blocks(r: float, dim: int) -> list[np.ndarray]:
+    """Real orthogonal exp[(r/2)(a^dag^2 - a^2)] on the even and odd levels."""
+    return [_orthogonal_core(eigen, 0.5 * r) for eigen in _squeeze_eigen(dim)]
 
 
 def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
@@ -72,12 +166,14 @@ def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
 
     The generator carries phase 2*theta: exp[(r/2)(e^{2i theta} a^dag^2 - h.c.)]
     amplifies the quadrature X_theta by e^r, matching the covariance
-    parameterization used by the closed forms.
+    parameterization used by the closed forms.  It is U exp[(r/2)(a^dag^2 -
+    a^2)] U^dag with U = diag(e^{i n theta}), the inner factor block diagonal
+    in the number parity.
     """
-    a = annihilation(dim)
-    phase = np.exp(2.0j * theta)
-    gen = 0.5 * r * (phase * a.conj().T @ a.conj().T - np.conjugate(phase) * a @ a)
-    return expm(gen)
+    core = np.zeros((dim, dim))
+    for parity, block in enumerate(_squeeze_blocks(r, dim)):
+        core[parity::2, parity::2] = block
+    return _phases(theta, dim) * core
 
 
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -106,17 +202,48 @@ def boundary_mass(op: FockOperator) -> float:
     return float(np.sum(np.diagonal(op.matrix).real[-window:]))
 
 
-def choose_dim(p: GaussianParams, min_dim: int = 0) -> int:
-    """Truncation at which the state is numerically adequate.
+_STATES: OrderedDict[tuple, FockOperator] = OrderedDict()
+
+
+def _state_at(p: GaussianParams, dim: int) -> FockOperator:
+    """The state at truncation ``dim``, from a least-recently-used cache.
+
+    The cache holds at most MAX_CACHED_STATES states and MAX_CACHED_BYTES,
+    counting each state twice (its matrix plus its cached fidelity factor),
+    and always keeps the newest state.
+    """
+    key = (p.gamma, p.s, p.theta, p.alpha_x, p.alpha_y, dim)
+    op = _STATES.get(key)
+    if op is not None:
+        _STATES.move_to_end(key)
+        return op
+    op = _STATES[key] = _build_fixed(p, dim)
+    while len(_STATES) > 1:
+        count, size = state_cache_info()
+        if count <= MAX_CACHED_STATES and size <= MAX_CACHED_BYTES:
+            break
+        _STATES.popitem(last=False)
+    return op
+
+
+def state_cache_info() -> tuple[int, int]:
+    """(states, bytes) held by the state cache, bytes counted as it bounds them."""
+    return len(_STATES), sum(2 * o.matrix.nbytes for o in _STATES.values())
+
+
+def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
+    """The state at the truncation where it is numerically adequate.
 
     Starts from the energy heuristic (at least ``min_dim``) and doubles until
-    both the trace deficit and the boundary occupancy are negligible.
+    both the trace deficit and the boundary occupancy are negligible.  Every
+    candidate goes through the state cache, so asking again returns the
+    operator built the first time.
     """
     d = max(adequate_dim(p), min_dim, 4)
     while True:
-        op = _build_fixed(p, d)
+        op = _state_at(p, d)
         if op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL:
-            return d
+            return op
         if d >= MAX_AUTO_DIM:
             raise TruncationError(
                 f"state needs dim > {MAX_AUTO_DIM} (leakage {op.leakage:.3g}, "
@@ -125,17 +252,22 @@ def choose_dim(p: GaussianParams, min_dim: int = 0) -> int:
         d = min(2 * d, MAX_AUTO_DIM)
 
 
+def choose_dim(p: GaussianParams, min_dim: int = 0) -> int:
+    """Truncation at which the state is numerically adequate (see ``auto_state``)."""
+    return auto_state(p, min_dim).dim
+
+
 def build_state(p: GaussianParams, dim: int | None = None) -> FockOperator:
     """Density matrix of a displaced squeezed thermal state.
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
-    D, S matrix exponentials of the truncated generators.  With ``dim=None``
-    the truncation is grown automatically (see ``choose_dim``); an explicit
+    D, S exponentials of the truncated generators.  With ``dim=None`` the
+    truncation is grown automatically (see ``auto_state``); an explicit
     ``dim`` raises TruncationError when leakage exceeds 1e-6.
     """
     if dim is None:
-        return _build_fixed(p, choose_dim(p))
-    op = _build_fixed(p, dim)
+        return auto_state(p)
+    op = _state_at(p, dim)
     if op.leakage > LEAKAGE_TOL:
         raise TruncationError(
             f"truncation dim={dim} inadequate: leakage {op.leakage:.3g} > {LEAKAGE_TOL}"
@@ -144,43 +276,45 @@ def build_state(p: GaussianParams, dim: int | None = None) -> FockOperator:
 
 
 def _build_fixed(p: GaussianParams, dim: int) -> FockOperator:
-    rho = np.diag(thermal_weights(p.nbar, dim)).astype(complex)
-    if p.s != 1.0:
-        s = squeeze_op(p.r, p.theta, dim)
-        rho = s @ rho @ s.conj().T
-    if p.alpha != 0.0:
-        d = displacement_op(p.alpha, dim)
-        rho = d @ rho @ d.conj().T
-    return FockOperator(rho)
+    """D S rho_T S^dag D^dag, the real orthogonal cores applied in real arithmetic.
+
+    With S = U_theta K_s U_theta^dag and D = U_phi K_d U_phi^dag (phi = arg
+    alpha), rho = U_phi K_d Z K_d^T U_phi^dag where Z = U_{theta-phi} K_s
+    rho_T K_s^T U_{theta-phi}^dag.  The phases multiply entries (m, n) by
+    e^{i(m-n) angle}, so the diagonal, and hence the trace, never leaves real
+    arithmetic.
+    """
+    w = thermal_weights(p.nbar, dim)
+    if p.s == 1.0:
+        core = np.diag(w)
+    else:
+        core = np.zeros((dim, dim))
+        for parity, k in enumerate(_squeeze_blocks(p.r, dim)):
+            core[parity::2, parity::2] = (k * w[parity::2]) @ k.T
+    if p.alpha == 0.0:
+        return FockOperator(_phases(p.theta, dim) * core)
+    phi = math.atan2(p.alpha_y, p.alpha_x)
+    k = _orthogonal_core(_displacement_eigen(dim), abs(p.alpha))
+    if p.s == 1.0:
+        inner = (k * w) @ k.T
+    else:
+        z = _phases(p.theta - phi, dim) * core
+        inner = k @ z.real @ k.T + 1j * (k @ z.imag @ k.T)
+    return FockOperator(_phases(phi, dim) * inner)
 
 
 def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
     """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) via Hermitian eigendecompositions.
 
-    Small negative eigenvalues from truncation are clipped to zero before
-    the square roots.
+    With rho_i = L_i L_i^dag (``FockOperator.factor``, cached per operator),
+    the fidelity is the trace norm of L1^dag L2: the sum of its singular
+    values, which roundoff moves by eps rather than by sqrt(eps) as it does
+    the eigenvalues of the sandwich product.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    w, v = np.linalg.eigh(a.matrix)
-    w = np.where(w > -1e-10, np.clip(w, 0.0, None), w)
-    if np.any(w < 0.0):
-        raise ValueError("first operator has a significantly negative eigenvalue")
-    # eigenvalues at roundoff scale are true zeros of near-pure states; keeping
-    # them would lift sqrt noise from 1e-16 to 1e-8
-    w[w < 1e-14 * w.max()] = 0.0
-    rank = int(np.count_nonzero(w))
-    sqrt_a = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    ev = np.linalg.eigvalsh(inner)
-    ev = np.where(ev > -1e-10, np.clip(ev, 0.0, None), ev)
-    if np.any(ev < 0.0):
-        raise ValueError("product operator has a significantly negative eigenvalue")
-    # the sandwich product cannot exceed rank(sqrt_a); excess eigenvalues are
-    # matmul roundoff
-    if rank < ev.size:
-        ev[: ev.size - rank] = 0.0
-    return float(np.sum(np.sqrt(ev)))
+    overlap = a.factor.conj().T @ b.factor
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)))
 
 
 def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
@@ -195,28 +329,49 @@ def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def quadrature_wavefunctions(count: int, grid: np.ndarray) -> np.ndarray:
+    """X_0 eigenfunctions psi_n(x) = 2^{1/4} h_n(sqrt(2) x) (vacuum variance 1/4)."""
+    return 2.0**0.25 * hermite_functions(count, math.sqrt(2.0) * np.asarray(grid, dtype=float))
+
+
 def quadrature_moments(a: FockOperator, phi: float) -> tuple[float, float]:
-    """Mean and variance of X_phi computed directly from the density matrix."""
-    op = annihilation(a.dim)
-    x = 0.5 * (op * np.exp(-1j * phi) + op.conj().T * np.exp(1j * phi))
-    mean = float(np.trace(a.matrix @ x).real)
-    second = float(np.trace(a.matrix @ x @ x).real)
-    return mean, second - mean * mean
+    """Mean and variance of X_phi computed directly from the density matrix.
+
+    X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 with the truncated a, so only
+    two sub-diagonals and the diagonal of rho enter, in O(dim):
+    <a> = sum_n sqrt(n) rho_{n,n-1}, <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
+    and the truncated a a^dag + a^dag a is diag(2n + 1) except at the top
+    level, where a a^dag is 0.
+    """
+    rho = a.matrix
+    n = np.arange(a.dim, dtype=float)
+    mean_a = np.dot(np.sqrt(n[1:]), np.diagonal(rho, -1))
+    mean_a2 = np.dot(np.sqrt(n[2:] * n[1:-1]), np.diagonal(rho, -2))
+    number = 2.0 * n + 1.0
+    number[-1] = n[-1]
+    mean = (np.exp(-1j * phi) * mean_a).real
+    second = 0.25 * (2.0 * (np.exp(-2j * phi) * mean_a2).real + np.dot(number, np.diagonal(rho).real))
+    return float(mean), float(second - mean * mean)
 
 
-def marginal_fock(a: FockOperator, phi: float, grid: np.ndarray) -> np.ndarray:
+def marginal_fock(
+    a: FockOperator, phi: float, grid: np.ndarray, wavefunctions: np.ndarray | None = None
+) -> np.ndarray:
     """Homodyne outcome density on ``grid`` from the number-basis state.
 
-    p(x) = sum_mn rho_mn e^{i(n-m)phi} psi_m(x) psi_n(x) with psi_n the
-    quadrature wavefunctions scaled so the vacuum variance is 1/4.  Raises
-    TruncationError when the grid mass falls short of 1 by more than 1e-5.
+    p(x) = sum_mn rho_mn e^{-i(m-n)phi} psi_m(x) psi_n(x) with psi_n the
+    quadrature wavefunctions (``quadrature_wavefunctions``; pass a table with
+    at least ``a.dim`` rows to reuse one).  The psi_n are real and the
+    imaginary part of the rotated rho is antisymmetric, so only its real
+    part enters, through one real matrix product.  Raises TruncationError
+    when the grid mass falls short of 1 by more than 1e-5.
     """
     grid = np.asarray(grid, dtype=float)
-    # X_phi eigenfunctions: psi_n(x) = 2^{1/4} h_n(sqrt(2) x), rotated by e^{i n phi}
-    h = 2.0**0.25 * hermite_functions(a.dim, math.sqrt(2.0) * grid)
-    phases = np.exp(1j * phi * np.arange(a.dim))
-    rho_rot = (phases[:, None].conj() * a.matrix) * phases[None, :]
-    density = np.einsum("mk,mn,nk->k", h, rho_rot, h, optimize=True).real
+    if wavefunctions is None:
+        wavefunctions = quadrature_wavefunctions(a.dim, grid)
+    h = wavefunctions[: a.dim]
+    rho_rot = (_phases(-phi, a.dim) * a.matrix).real
+    density = np.einsum("mk,mk->k", h, rho_rot @ h)
     mass = float(np.trapezoid(density, grid))
     if abs(1.0 - mass) > 1e-5:
         raise TruncationError(
@@ -239,8 +394,9 @@ def overlap_fock(
     """Bhattacharyya overlap of the two homodyne marginals (trapezoidal)."""
     if grid is None:
         grid = default_overlap_grid(a, b, phi)
-    pa = np.clip(marginal_fock(a, phi, grid), 0.0, None)
-    pb = np.clip(marginal_fock(b, phi, grid), 0.0, None)
+    table = quadrature_wavefunctions(max(a.dim, b.dim), grid)
+    pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
+    pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))
 
 

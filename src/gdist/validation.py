@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .fidelity import fidelity_params
-from .fock import FockOperator, build_state, choose_dim, fidelity_fock, overlap_fock
+from .fock import auto_state, build_state, fidelity_fock, overlap_fock
 from .homodyne import overlap_at
 from .states import GaussianParams
 
@@ -53,20 +53,6 @@ def stratified_pairs() -> list[tuple[str, GaussianParams, GaussianParams]]:
     return cases
 
 
-_STATE_CACHE: dict[tuple, FockOperator] = {}
-
-
-def _cached_state(p: GaussianParams, dim: int) -> FockOperator:
-    key = (p.gamma, p.s, p.theta, p.alpha_x, p.alpha_y, dim)
-    op = _STATE_CACHE.get(key)
-    if op is None:
-        op = build_state(p, dim)
-        if len(_STATE_CACHE) > 512:
-            _STATE_CACHE.clear()
-        _STATE_CACHE[key] = op
-    return op
-
-
 def oracle_check_pair(
     p1: GaussianParams,
     p2: GaussianParams,
@@ -78,12 +64,17 @@ def oracle_check_pair(
     """Compare fidelity and homodyne overlaps against the Fock oracle.
 
     The default truncation starts at 150 and is enlarged automatically when
-    a state still has weight near the cutoff there.
+    a state still has weight near the cutoff there; the state needing less
+    is then rebuilt at the larger truncation.  States come from the bounded
+    cache in ``gdist.fock``, explicit ``dim`` included.
     """
     if dim is None:
-        dim = max(choose_dim(p1, min_dim=150), choose_dim(p2, min_dim=150))
-    rho1 = _cached_state(p1, dim)
-    rho2 = _cached_state(p2, dim)
+        rho1, rho2 = auto_state(p1, min_dim=150), auto_state(p2, min_dim=150)
+        dim = max(rho1.dim, rho2.dim)
+        rho1 = rho1 if rho1.dim == dim else build_state(p1, dim)
+        rho2 = rho2 if rho2.dim == dim else build_state(p2, dim)
+    else:
+        rho1, rho2 = build_state(p1, dim), build_state(p2, dim)
     fid_closed = fidelity_params(p1, p2).fidelity
     fid_fock = fidelity_fock(rho1, rho2)
     fid_dev = abs(fid_closed - fid_fock)

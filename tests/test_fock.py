@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gdist import (
+    FockOperator,
     GaussianParams,
+    GdistError,
+    NumericalFailureError,
     TruncationError,
+    auto_state,
     build_state,
     choose_dim,
     fidelity_fock,
@@ -15,9 +20,83 @@ from gdist import (
     overlap_at,
     overlap_fock,
 )
-from gdist.fock import hermite_functions, quadrature_moments
+from gdist import fock
+from gdist.fock import (
+    annihilation,
+    displacement_op,
+    hermite_functions,
+    quadrature_moments,
+    quadrature_wavefunctions,
+    squeeze_op,
+    state_cache_info,
+)
 from gdist.homodyne import marginal
 from gdist.validation import oracle_check_pair
+
+EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
+
+
+class TestStructuredExponentials:
+    """The cached-eigendecomposition exponentials against scipy's expm."""
+
+    @pytest.mark.parametrize("dim", EXPONENTIAL_DIMS)
+    def test_displacement_matches_expm(self, dim):
+        a = annihilation(dim)
+        for alpha in (0.7, -1.3, 1.1j, -0.4j, 0.5 - 0.8j, -2.0 + 0.3j, 0.0):
+            ref = expm(alpha * a.conj().T - np.conjugate(alpha) * a)
+            assert np.max(np.abs(displacement_op(alpha, dim) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("dim", EXPONENTIAL_DIMS)
+    def test_squeeze_matches_expm(self, dim):
+        a = annihilation(dim)
+        for r, theta in ((0.05, 0.0), (0.3, -0.4), (0.8, 1.1), (1.5, 2.9), (0.0, 0.5)):
+            phase = np.exp(2.0j * theta)
+            gen = 0.5 * r * (phase * a.conj().T @ a.conj().T - np.conjugate(phase) * a @ a)
+            assert np.max(np.abs(squeeze_op(r, theta, dim) - expm(gen))) < 1e-12
+
+    def test_build_matches_expm_sandwich(self):
+        p = GaussianParams(2.5, 3.0, 0.9, -0.7, 0.4)
+        dim = 120
+        a = annihilation(dim)
+        phase = np.exp(2.0j * p.theta)
+        s = expm(0.5 * p.r * (phase * a.conj().T @ a.conj().T - np.conjugate(phase) * a @ a))
+        d = expm(p.alpha * a.conj().T - np.conjugate(p.alpha) * a)
+        rho = np.diag(fock.thermal_weights(p.nbar, dim)).astype(complex)
+        rho = d @ s @ rho @ s.conj().T @ d.conj().T
+        assert np.max(np.abs(build_state(p, dim).matrix - rho)) < 1e-12
+
+
+class TestStateCache:
+    def test_auto_state_equals_fresh_build(self):
+        for p in (
+            GaussianParams(1.0),
+            GaussianParams(2.0, 3.0, 0.4, 0.6, -1.1),
+            GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0),  # needs a doubling
+        ):
+            op = auto_state(p)
+            assert op is auto_state(p)
+            assert op.dim == choose_dim(p)
+            fresh = fock._build_fixed(p, choose_dim(p))
+            assert np.array_equal(op.matrix, fresh.matrix)
+
+    def test_cache_bounded_across_sweep(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2 * fock.MAX_CACHED_STATES):
+            p1, p2 = (
+                GaussianParams(rng.uniform(1, 1.5), rng.uniform(1, 1.5), rng.uniform(0, 3))
+                for _ in range(2)
+            )
+            oracle_check_pair(p1, p2, dim=24, angles=(0.0,))
+            count, size = state_cache_info()
+            assert count <= fock.MAX_CACHED_STATES
+            assert size <= fock.MAX_CACHED_BYTES
+
+    def test_cache_bounded_in_bytes(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_CACHED_BYTES", 3 * 2 * 16 * 40**2)
+        for gamma in np.linspace(1.0, 2.0, 8):
+            build_state(GaussianParams(gamma), 40)
+            assert state_cache_info()[1] <= fock.MAX_CACHED_BYTES
+        assert state_cache_info()[0] == 3  # the three newest states
 
 
 class TestBuildState:
@@ -83,6 +162,15 @@ class TestFidelityFock:
         a = build_state(GaussianParams(3.0), 160)
         b = build_state(GaussianParams(5.0), 160)
         assert abs(fidelity_fock(a, b) - 0.9659258262890683) < 1e-8
+
+    def test_negative_eigenvalue_is_numeric_failure(self):
+        broken = FockOperator(np.diag([1.2, -0.2, 0.0]).astype(complex))
+        fine = build_state(GaussianParams(1.0), 3)
+        for a, b in ((broken, fine), (fine, broken)):
+            with pytest.raises(NumericalFailureError) as info:
+                fidelity_fock(a, b)
+            assert isinstance(info.value, GdistError)
+            assert not isinstance(info.value, ValueError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -155,6 +243,40 @@ class TestMarginalFock:
             mean, var = quadrature_moments(rho, phi)
             assert abs(mean - m.mean_along) < 1e-8
             assert abs(var - m.variance) < 1e-7
+
+
+class TestKernelsAgainstDense:
+    """The O(dim) moments and the real-GEMM marginal against dense references."""
+
+    STATES = (
+        GaussianParams(3.0, 2.0, 0.7, 1.0, -0.5),
+        GaussianParams(1.0, 4.0, 2.2, -0.3, 0.9),
+        GaussianParams(2.0, 1.0, 0.0, 0.0, 1.2),
+    )
+
+    def test_moments_match_dense_trace(self):
+        for p in self.STATES:
+            for dim in (6, 40, 150):
+                rho = build_state(p, dim) if dim > 6 else fock._build_fixed(p, dim)
+                a = annihilation(dim)
+                for phi in (0.0, 0.7, 2.0, -1.1):
+                    x = 0.5 * (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi))
+                    mean = float(np.trace(rho.matrix @ x).real)
+                    second = float(np.trace(rho.matrix @ x @ x).real)
+                    got_mean, got_var = quadrature_moments(rho, phi)
+                    assert abs(got_mean - mean) < 1e-12
+                    assert abs(got_var - (second - mean * mean)) < 1e-11
+
+    def test_gemm_marginal_matches_einsum(self):
+        grid = np.linspace(-9.0, 9.0, 1201)
+        for p in self.STATES:
+            rho = build_state(p, 120)
+            h = quadrature_wavefunctions(rho.dim, grid)
+            for phi in (0.0, 0.4, 2.5):
+                phases = np.exp(1j * phi * np.arange(rho.dim))
+                rho_rot = (phases[:, None].conj() * rho.matrix) * phases[None, :]
+                dense = np.einsum("mk,mn,nk->k", h, rho_rot, h, optimize=True).real
+                assert np.max(np.abs(marginal_fock(rho, phi, grid) - dense)) < 1e-14
 
 
 class TestHermiteFunctions:
