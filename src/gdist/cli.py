@@ -29,13 +29,8 @@ from .errors import (
     UnsupportedPairError,
 )
 from .fidelity import fidelity_params, fidelity_same_mean
-from .homodyne import overlap_at, overlap_grid, overlap_profile
-from .optimality import (
-    classify_pair,
-    minimize_overlap,
-    minimize_overlap_general,
-    solve_s2_for_optimality,
-)
+from .homodyne import minimize_overlap_scan, overlap_at, overlap_grid, overlap_profile
+from .optimality import classify_pair, minimize_overlap, solve_s2_for_optimality
 from .povm import conjecture_scan
 from .states import GaussianParams, load_state
 from .validation import oracle_check_pair, run_oracle_sweep
@@ -142,7 +137,7 @@ def _cmd_min_overlap(args) -> int:
     if args.method in ("analytic", "both"):
         results["analytic"] = minimize_overlap(p1, p2)
     if args.method in ("scan", "both"):
-        results["scan"] = minimize_overlap_general(p1, p2)
+        results["scan"] = minimize_overlap_scan(p1, p2)
     if args.method == "both":
         diff = abs(results["analytic"][1] - results["scan"][1])
         if diff > 1e-8:

@@ -42,7 +42,7 @@ class MarginalSpec:
 
 @dataclass(frozen=True, eq=False)
 class OverlapProfile:
-    """Sampled overlap curve phi -> I_phi plus its refined minimum."""
+    """Sampled overlap curve phi -> I_phi plus its exact minimum."""
 
     samples: np.ndarray  # shape (n, 2): columns (phi, overlap)
     min_overlap: float
@@ -121,7 +121,9 @@ def minimize_overlap_scan(
     """Scan minimizer: dense grid over [0, pi) plus golden-section refinement.
 
     Returns (phi_min, overlap_min) with phi refined to about 1e-10.  Serves
-    as the independent verifier for the analytic minimizer.
+    as the independent verifier of both minimizers in ``optimality`` (the
+    analytic same-mean route and the companion-matrix route); no package
+    code path other than ``min-overlap --method scan|both`` calls it.
     """
     from scipy.optimize import minimize_scalar
 
@@ -145,12 +147,14 @@ def minimize_overlap_scan(
 def overlap_profile(
     p1: GaussianParams, p2: GaussianParams, steps: int = 720
 ) -> OverlapProfile:
-    """Sample I_phi on ``steps`` angles and attach the refined minimum."""
+    """Sample I_phi on ``steps`` angles and attach the exact minimum."""
+    from .optimality import minimize_overlap  # optimality imports this module
+
     if steps < 2:
         raise ValueError("profile needs at least 2 steps")
     phis = np.linspace(0.0, math.pi, steps, endpoint=False)
     vals = overlap_grid(p1, p2, phis)
-    phi_min, val_min = minimize_overlap_scan(p1, p2, grid_points=max(steps, 1024))
+    phi_min, val_min = minimize_overlap(p1, p2)
     fid = fidelity_params(p1, p2).fidelity
     samples = np.column_stack([phis, vals])
     return OverlapProfile(samples, val_min, phi_min, fid)

@@ -8,10 +8,16 @@ two covariance matrices,
     mu_pm = (gamma2/gamma1) * (D +- sqrt(D^2 - 16)) / 4,
 
 with D the squeeze mismatch; they depend on the pair only through
-(gamma1, gamma2, D).  The equality I_phi = F reduces to a harmonic equation
-a1 sin 2phi + a2 cos 2phi + a3 = 0 whose solvability reproduces the
-classification: pure/pure pairs always reach equality, pure/mixed never, and
-mixed/mixed only on the surface D = 2 * thermal_ratio_sum.
+(gamma1, gamma2, D).  For different means there is no such reduction, but
+with u = 2 phi the widths and the squared mean offset are first-degree
+trigonometric polynomials in u, so the critical points of log I_phi are
+the roots of a trigonometric polynomial of degree at most 4:
+``minimize_overlap_general`` takes them from a companion matrix and
+polishes them with safeguarded Newton steps, with no grid.  The equality
+I_phi = F reduces to a harmonic equation a1 sin 2phi + a2 cos 2phi + a3 = 0
+whose solvability reproduces the classification: pure/pure pairs always
+reach equality, pure/mixed never, and mixed/mixed only on the surface
+D = 2 * thermal_ratio_sum.
 """
 
 from __future__ import annotations
@@ -28,8 +34,15 @@ from .errors import (
     UnsupportedPairError,
 )
 from .fidelity import fidelity_params, fidelity_same_mean, squeeze_mismatch
-from .homodyne import minimize_overlap_scan, overlap_from_ratio
-from .states import GaussianParams, covariance_from_params, default_tol, means_equal, states_equal
+from .homodyne import overlap_from_ratio
+from .states import (
+    GaussianParams,
+    covariance_from_params,
+    default_tol,
+    means_equal,
+    states_equal,
+    wrap_angle,
+)
 
 PURITY_TOL = 1e-9
 CONDITION_TOL = 1e-9
@@ -158,14 +171,23 @@ def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float
     """Extremal values (mu_minus, mu_plus) of B2/B1 over the angle.
 
     Generalized eigenvalues of the covariance pair; roots of
-    mu^2 - mu (gamma2/gamma1) D / 2 + (gamma2/gamma1)^2 = 0.
+    mu^2 - mu (gamma2/gamma1) D / 2 + (gamma2/gamma1)^2 = 0.  The
+    discriminant is taken as (D - 4)(D + 4) with
+
+        D - 4 = 2 (s1 - s2)^2 / (s1 s2) + 2 (s1 - 1/s1)(s2 - 1/s2) sin^2(theta_tilde),
+
+    a sum of nonnegative terms, so nearly identical ellipses (D -> 4) keep
+    their digits; mu_minus comes from the product mu_plus mu_minus = ratio^2.
     """
     ratio = p2.gamma / p1.gamma
-    mism = squeeze_mismatch(p1.s, p2.s, p2.theta - p1.theta)
-    root = math.sqrt(max(mism * mism - 16.0, 0.0))
-    mu_plus = ratio * (mism + root) / 4.0
-    mu_minus = ratio * (mism - root) / 4.0
-    return mu_minus, mu_plus
+    s1, s2 = p1.s, p2.s
+    # s - 1/s as (s - 1)(s + 1)/s: exact subtraction for s near 1
+    s1m = (s1 - 1.0) * (s1 + 1.0) / s1
+    s2m = (s2 - 1.0) * (s2 + 1.0) / s2
+    sin_tt = math.sin(p2.theta - p1.theta)
+    excess = 2.0 * (s1 - s2) ** 2 / (s1 * s2) + 2.0 * s1m * s2m * sin_tt * sin_tt
+    big = 4.0 + excess + math.sqrt(excess * (excess + 8.0))  # D + sqrt(D^2 - 16)
+    return ratio * 4.0 / big, ratio * big / 4.0
 
 
 def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
@@ -184,11 +206,12 @@ def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
 
 
 def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
-    """Minimize I_phi over the measurement angle for a same-mean pair.
+    """Minimize I_phi over the measurement angle.
 
-    Analytic: evaluates f at both ratio extremes and keeps the smaller;
-    pairs with different means are routed to ``minimize_overlap_general``.
-    Returns (phi_min, overlap_min).
+    Same-mean pairs take the analytic route: f at both ratio extremes, the
+    smaller kept, the angle from the extreme's null direction.  Pairs with
+    different means go to ``minimize_overlap_general``.  Returns
+    (phi_min, overlap_min).
     """
     if not means_equal(p1, p2):
         return minimize_overlap_general(p1, p2)
@@ -202,11 +225,187 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     return _extreme_angle(p1, p2, mu), val
 
 
-def minimize_overlap_general(
-    p1: GaussianParams, p2: GaussianParams, grid_points: int = 4096
-) -> tuple[float, float]:
-    """Global minimum of I_phi for arbitrary means (dense grid + refinement)."""
-    return minimize_overlap_scan(p1, p2, grid_points=grid_points)
+#: The slope numerator is sampled at u_k = 2 pi k / 9 (u = 2 phi).  _TRIG
+#: maps the (1, cos u, sin u) coefficients of a first-degree trigonometric
+#: polynomial to its samples; _DFT maps 9 samples of one of degree <= 4 to
+#: its Laurent coefficients c_-4 .. c_4 in z = e^{iu}.
+_SAMPLE_U = 2.0 * np.pi * np.arange(9) / 9.0
+_TRIG = np.array([np.ones(9), np.cos(_SAMPLE_U), np.sin(_SAMPLE_U)])
+_DFT = np.exp(-1j * np.outer(np.arange(-4, 5), _SAMPLE_U)) / 9.0
+#: Coefficients below this fraction of the largest sampled term of the
+#: numerator are roundoff left by its cancellations; trimming them drops
+#: only roots far from the unit circle (round pairs: degree 1).
+_COEFF_TRIM = 1e-13
+#: Cap on the iterates of one safeguarded Newton descent; bisections of a
+#: bracket up to 3e-3 wide reach float resolution well within it.
+_POLISH_STEPS = 60
+
+
+def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
+    """Approximate critical angles of log I_phi, from a companion matrix.
+
+    With u = 2 phi, b1, b2 and beta_phi^2 are first-degree trigonometric
+    polynomials in u, so with P = b1 b2 and S = b1 + b2
+
+        4 P S^2 dlogI/du = S (S P' - 2 P S') + 4 P (Q S' - S Q'),  Q = beta_phi^2,
+
+    has degree at most 4 by counting.  The top harmonics of S P' - 2 P S'
+    and of Q S' - S Q' cancel, so the degree is at most 3 and at most 6
+    roots remain after trimming.  They are the arguments of the eigenvalues
+    of the companion matrix of z^4 times its Laurent series (Boyd, Solving
+    Transcendental Equations, SIAM 2014).
+    Every eigenvalue yields an angle, including those off the unit circle;
+    the caller evaluates them all.
+    """
+    rows = []
+    for p in (p1, p2):
+        half_sum = 0.5 * p.gamma * (p.s + 1.0 / p.s)
+        half_diff = 0.5 * p.gamma * (p.s - 1.0 / p.s)
+        angle = 2.0 * p.theta
+        rows.append((half_sum, half_diff * math.cos(angle), half_diff * math.sin(angle)))
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    rows.append((0.5 * (dx * dx + dy * dy), 0.5 * (dx * dx - dy * dy), dx * dy))
+    rows += [(0.0, sin_c, -cos_c) for _, cos_c, sin_c in rows]  # d/du
+    b1, b2, q, db1, db2, dq = np.array(rows) @ _TRIG
+    prod, width = b1 * b2, b1 + b2
+    dprod, dwidth = db1 * b2 + b1 * db2, db1 + db2
+    terms = np.array(
+        [
+            width * width * dprod,
+            -2.0 * prod * width * dwidth,
+            4.0 * prod * q * dwidth,
+            -4.0 * prod * width * dq,
+        ]
+    )
+    coeffs = _DFT @ terms.sum(axis=0)
+    keep = np.flatnonzero(np.abs(coeffs) > _COEFF_TRIM * np.abs(terms).max())
+    if keep.size < 2:
+        return np.empty(0)
+    poly = coeffs[keep[0] : keep[-1] + 1]
+    companion = np.eye(poly.size - 1, k=-1, dtype=complex)
+    companion[:, -1] = -poly[:-1] / poly[-1]
+    return np.angle(np.linalg.eigvals(companion)) / 2.0
+
+
+def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
+    """phi -> (I_phi, dlogI/dphi, d^2 logI/dphi^2), evaluated from the widths.
+
+    Widths use the product form gamma (s cos^2 + sin^2 / s), which keeps
+    its digits at the narrow minimum of a strongly squeezed state.
+    """
+    th1, long1, short1 = p1.theta, p1.gamma * p1.s, p1.gamma / p1.s
+    th2, long2, short2 = p2.theta, p2.gamma * p2.s, p2.gamma / p2.s
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+
+    def at(phi: float) -> tuple[float, float, float]:
+        c1, s1 = math.cos(phi - th1), math.sin(phi - th1)
+        c2, s2 = math.cos(phi - th2), math.sin(phi - th2)
+        b1 = long1 * c1 * c1 + short1 * s1 * s1
+        b2 = long2 * c2 * c2 + short2 * s2 * s2
+        db1 = -2.0 * (long1 - short1) * s1 * c1
+        db2 = -2.0 * (long2 - short2) * s2 * c2
+        ddb1 = -2.0 * (long1 - short1) * (c1 * c1 - s1 * s1)
+        ddb2 = -2.0 * (long2 - short2) * (c2 * c2 - s2 * s2)
+        cp, sp = math.cos(phi), math.sin(phi)
+        beta, dbeta = dx * cp + dy * sp, dy * cp - dx * sp
+        width = b1 + b2
+        rate, curv = (db1 + db2) / width, (ddb1 + ddb2) / width
+        r1, r2 = db1 / b1, db2 / b2
+        expo, dexpo = beta * beta / width, 2.0 * beta * dbeta / width
+        slope = -0.5 * rate + 0.25 * (r1 + r2) - dexpo + expo * rate
+        second = (
+            -0.5 * (curv - rate * rate)
+            + 0.25 * (ddb1 / b1 - r1 * r1 + ddb2 / b2 - r2 * r2)
+            - 2.0 * (dbeta * dbeta - beta * beta) / width
+            + 2.0 * dexpo * rate
+            + expo * (curv - 2.0 * rate * rate)
+        )
+        value = math.sqrt(2.0 / width) * (b1 * b2) ** 0.25 * math.exp(-expo)
+        return value, slope, second
+
+    return at
+
+
+def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far_slope: float):
+    """Safeguarded Newton iteration on dlogI/dphi between ``phi`` and ``far``.
+
+    ``far`` is the neighbouring candidate in the downhill direction.  Once
+    the slope is known to be negative at the lower end of the interval and
+    positive at the upper end, the interval holds a minimum: each iterate
+    narrows it by the sign of its slope, and a Newton step that leaves it,
+    starts from a concave point or fails to halve the previous move becomes
+    a bisection (the safeguard of Numerical Recipes' ``rtsafe``).  Before
+    that, a step out of the interval ends the descent; beyond ``far`` the
+    next candidate's descent takes over.  Returns the lowest (I_phi, phi)
+    visited after the start, or (inf, phi) when the start is stationary.
+    """
+    lo, hi = (phi, far) if far > phi else (far, phi)
+    neg_lo, pos_hi = far < phi and far_slope < 0.0, far > phi and far_slope > 0.0
+    moved = hi - lo
+    best = (math.inf, phi)
+    for _ in range(_POLISH_STEPS):
+        # stationary: a Newton step would change log I by under an ulp
+        if slope * slope <= 2.2e-16 * abs(second):
+            break
+        if slope < 0.0:
+            lo, neg_lo = phi, True
+        else:
+            hi, pos_hi = phi, True
+        step = phi - slope / second if second > 0.0 else math.nan
+        bracketed = neg_lo and pos_hi
+        # in a bracket, a Newton step that does not halve the last move is
+        # too slow (log I is far from quadratic there): bisect instead
+        if not lo < step < hi or (bracketed and abs(step - phi) > 0.5 * moved):
+            if not bracketed:
+                break
+            step = 0.5 * (lo + hi)
+        if step == phi:
+            break
+        moved, phi = abs(step - phi), step
+        value, slope, second = slopes_at(phi)
+        if value <= best[0]:
+            best = (value, phi)
+    return best
+
+
+def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
+    """Global minimum of I_phi for arbitrary means, without a grid.
+
+    Candidates are the critical angles from the companion matrix of the
+    trigonometric slope numerator (``_critical_angles``) plus the narrow
+    direction theta + pi/2 of each squeezed state: when the widths span
+    many orders of magnitude (s beyond about 1e3, or very unequal gammas)
+    the sampled polynomial loses the roots inside that direction's
+    O(1/s)-wide dip to roundoff.  dlogI/dphi is evaluated at each candidate
+    from the widths, not from the coefficients, and a candidate that is not
+    stationary descends towards its downhill neighbour by safeguarded
+    Newton steps (``_descend``); when the neighbour's slope points back,
+    only the lower of the two descends.  I_phi is evaluated at every
+    candidate, every iterate and phi = 0, and the smallest value wins.
+    Returns (phi_min, overlap_min) with phi_min in [0, pi).
+    """
+    slopes_at = _overlap_slopes(p1, p2)
+    seeds = [p.theta + 0.5 * math.pi for p in (p1, p2) if p.s > 1.0]
+    angles = sorted(wrap_angle(phi) for phi in _critical_angles(p1, p2).tolist() + seeds)
+    found = [slopes_at(phi) for phi in angles]
+    best_value, best_phi = slopes_at(0.0)[0], 0.0
+    last = len(angles) - 1
+    for k, (phi, (value, slope, second)) in enumerate(zip(angles, found)):
+        if value <= best_value:  # on a tie the candidate beats phi = 0
+            best_value, best_phi = value, phi
+        if slope < 0.0:  # downhill towards the next candidate, cyclically
+            j = k + 1 if k < last else 0
+            far = angles[j] + (0.0 if k < last else math.pi)
+        else:
+            j = k - 1 if k > 0 else last
+            far = angles[j] - (0.0 if k > 0 else math.pi)
+        far_value, far_slope, _ = found[j]
+        if far_slope * slope < 0.0 and far_value < value:
+            continue
+        value, phi = _descend(slopes_at, phi, slope, second, far, far_slope)
+        if value <= best_value:  # later iterates are more polished
+            best_value, best_phi = value, phi
+    return wrap_angle(best_phi), best_value
 
 
 def build_equality_equation(
@@ -392,7 +591,8 @@ def check_different_mean_symmetric(
     """Classify a pair of round states (s = 1) whose means differ by ``beta``.
 
     Optimal iff the thermal widths coincide; the witness angle aligns with
-    the mean difference.  Gap is cross-checked by the grid minimizer.
+    the mean difference.  The gap comes from the exact minimizer
+    ``minimize_overlap_general``.
     """
     tol = default_tol() if tol is None else tol
     beta = np.asarray(beta, dtype=float)
@@ -417,13 +617,15 @@ def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
     """Route a pair to the applicable classifier.
 
     Equal means go to the purity/mismatch criteria; differing means are
-    classified only for round states.  Other configurations raise
-    UnsupportedPairError (their numeric gap is still available through
+    classified only for round states, s = 1 within the tolerance that
+    ``means_equal`` uses.  Other configurations raise UnsupportedPairError
+    (their numeric gap is still available through
     ``minimize_overlap_general``).
     """
-    if means_equal(p1, p2):
+    tol = default_tol()
+    if means_equal(p1, p2, tol):
         return check_condition_general(p1, p2)
-    if p1.s == 1.0 and p2.s == 1.0:
+    if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
         beta = (p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
         return check_different_mean_symmetric(p1.gamma, p2.gamma, beta)
     raise UnsupportedPairError(

@@ -36,7 +36,7 @@ def default_tol() -> float:
     return DEFAULT_TOL
 
 
-def _wrap_angle(theta: float) -> float:
+def wrap_angle(theta: float) -> float:
     """Reduce an angle to [0, pi); squeezing directions are pi-periodic."""
     theta = math.fmod(theta, math.pi)
     if theta < 0.0:
@@ -80,7 +80,7 @@ class GaussianParams:
         if s < 1.0:
             s = 1.0 / s
             theta = theta + math.pi / 2.0
-        theta = _wrap_angle(theta)
+        theta = wrap_angle(theta)
         if s == 1.0:
             theta = 0.0
         object.__setattr__(self, "gamma", gamma)

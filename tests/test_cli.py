@@ -7,8 +7,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from gdist import GaussianParams, state_to_dict
+from gdist import GaussianParams, minimize_overlap_general, state_to_dict
 from gdist.cli import Figure, FigureRequest, emit_figure_data, main
+from gdist.homodyne import minimize_overlap_scan
 
 
 def write_state(tmp_path, name, params):
@@ -122,6 +123,18 @@ class TestOverlapCommands:
         data = json.loads(out)
         assert abs(data["overlap_min"] - data["scan_overlap_min"]) < 1e-8
         assert abs(data["gap"]) < 1e-9
+
+    def test_min_overlap_scan_stays_independent(self, tmp_path):
+        p1 = GaussianParams(2.0, 3.0, 0.3)
+        p2 = GaussianParams(1.5, 2.0, 1.1, 0.8, -0.4)
+        a = write_state(tmp_path, "a.json", p1)
+        b = write_state(tmp_path, "b.json", p2)
+        code, out = run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["overlap_min"] == minimize_overlap_general(p1, p2)[1]
+        assert data["scan_overlap_min"] == minimize_overlap_scan(p1, p2)[1]
+        assert abs(data["overlap_min"] - data["scan_overlap_min"]) < 1e-12
 
 
 class TestClassifyCommand:

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gdist
 from gdist import (
     DegenerateFidelityError,
     GaussianParams,
@@ -24,14 +31,43 @@ from gdist import (
     thermal_ratio_sum,
 )
 from gdist.fidelity import squeeze_mismatch
-from gdist.homodyne import b_ratio, minimize_overlap_scan
-from gdist.optimality import PairClass, _solve_harmonic
+from gdist.homodyne import b_ratio, minimize_overlap_scan, overlap_grid
+from gdist.optimality import PairClass, _critical_angles, _solve_harmonic
 
 from conftest import random_params
 
 
 def random_same_mean_pair(rng, gamma_hi=6.0, s_hi=8.0):
     return random_params(rng, gamma_hi, s_hi), random_params(rng, gamma_hi, s_hi)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def state_pairs(draw, s_hi, gamma_hi=6.0, displaced=True):
+    """Two states; the second is displaced by 0.05..2 in a random direction."""
+    states = []
+    for _ in range(2):
+        gamma = draw(log_uniform(1.0, gamma_hi))
+        s = draw(log_uniform(1.0, s_hi))
+        states.append((gamma, s, draw(st.floats(0.0, math.pi, exclude_max=True))))
+    shift = (0.0, 0.0)
+    if displaced:
+        radius = draw(st.floats(0.05, 2.0))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        shift = (radius * math.cos(angle), radius * math.sin(angle))
+    return GaussianParams(*states[0]), GaussianParams(*states[1], *shift)
+
+
+def dense_min(p1, p2, points=1 << 16):
+    return float(np.min(overlap_grid(p1, p2, np.linspace(0.0, math.pi, points, endpoint=False))))
+
+
+def mod_distance(a, b, period):
+    d = (a - b) % period
+    return min(d, period - d)
 
 
 class TestRatioExtremes:
@@ -51,6 +87,45 @@ class TestRatioExtremes:
             p1, p2 = random_same_mean_pair(rng)
             lo, hi = ratio_extremes(p1, p2)
             assert math.isclose(lo * hi, (p2.gamma / p1.gamma) ** 2, rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gammas=st.tuples(log_uniform(1.0, 1e8), log_uniform(1.0, 1e8)),
+        s1=log_uniform(1.0, 1e6),
+        theta1=st.floats(0.0, math.pi, exclude_max=True),
+        near=st.booleans(),
+        rel=log_uniform(1e-12, 1e-3),
+        second=st.tuples(log_uniform(1.0, 1e6), st.floats(0.0, math.pi, exclude_max=True)),
+    )
+    def test_match_mpmath_reference(self, gammas, s1, theta1, near, rel, second):
+        # near=True: s2/s1 = 1 + rel and a tilt below rel, i.e. D just above 4
+        if near:
+            s2, theta2 = s1 * (1.0 + rel), theta1 + 0.5 * rel
+        else:
+            s2, theta2 = second
+        p1 = GaussianParams(gammas[0], s1, theta1)
+        p2 = GaussianParams(gammas[1], s2, theta2)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(p1.s), mpmath.mpf(p2.s)
+            tilt = mpmath.mpf(p2.theta) - mpmath.mpf(p1.theta)
+            mism = (a + 1 / a) * (b + 1 / b) - (a - 1 / a) * (b - 1 / b) * mpmath.cos(2 * tilt)
+            ratio = mpmath.mpf(p2.gamma) / mpmath.mpf(p1.gamma)
+            root = mpmath.sqrt(mism * mism - 16)
+            expected = (ratio * (mism - root) / 4, ratio * (mism + root) / 4)
+            for got, want in zip(ratio_extremes(p1, p2), expected):
+                assert abs((got - want) / want) <= 1e-14, (p1, p2)
+
+    @pytest.mark.parametrize("g1, g2, s", [(1.5, 2.0, 2.0), (2.0, 2.0, 3.0), (1.0, 1.0, 1.5)])
+    def test_witness_angle_near_identical_ellipses(self, g1, g2, s):
+        # s2/s1 = 1 + 1e-9 at a common direction 0.4: D - 4 is about 1e-18
+        p1 = GaussianParams(g1, s, 0.4)
+        p2 = GaussianParams(g2, s * (1.0 + 1e-9), 0.4)
+        lo, hi = ratio_extremes(p1, p2)
+        ratio = g2 / g1
+        assert math.isclose(hi / ratio, 1.0 + 1e-9, rel_tol=1e-15)
+        assert math.isclose(lo / ratio, 1.0 / (1.0 + 1e-9), rel_tol=1e-15)
+        phi_min, _ = minimize_overlap(p1, p2)
+        assert mod_distance(phi_min, 0.4, math.pi / 2) < 1e-5
 
 
 class TestMinimizeOverlap:
@@ -134,6 +209,102 @@ class TestMinimizeOverlapGeneral:
         p1 = GaussianParams(1.0)
         p2 = GaussianParams(1.0, 1.0, 0.0, 0.7, 0.2)
         assert minimize_overlap(p1, p2) == minimize_overlap_general(p1, p2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(state_pairs(s_hi=8.0))
+    def test_matches_scan(self, pair):
+        p1, p2 = pair
+        phi_min, exact = minimize_overlap_general(*pair)
+        _, scanned = minimize_overlap_scan(*pair)
+        assert abs(exact - scanned) <= 1e-12
+        assert exact <= scanned + 1e-14
+        assert 0.0 <= phi_min < math.pi
+        assert overlap_at(p1, p2, phi_min) == pytest.approx(exact, abs=1e-15)
+        # the top harmonic cancels identically: degree 3, at most 6 roots
+        assert len(_critical_angles(p1, p2)) <= 6
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(state_pairs(s_hi=1e4))
+    def test_below_dense_grid_strong_squeezing(self, pair):
+        assert minimize_overlap_general(*pair)[1] <= dense_min(*pair) + 1e-14
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                (94283.76590766321, 760242.1836794969, 2.3520554451768376),
+                (35.39421909366029, 2.487915999660971, 1.4924583744389037, 845.56, -693.93),
+            ),
+            (
+                (2946830.5972408964, 4387.831987522521, 1.649678756471695),
+                (4.225084340433881, 1.095733776469396, 1.1013911247515036, 72.56, -93.31),
+            ),
+            # nearly aligned narrow directions: the minimum lies between two
+            # candidates whose slopes point at each other
+            (
+                (1.3472592194172381, 1232.092211442567, 2.978368319743718),
+                (4.512118354144894, 1908.5289704625654, 2.9824296843568767, -0.26806, -0.73068),
+            ),
+            (
+                (5.092020035971703, 800.0179641890584, 0.5058795093371745),
+                (2.357736406304162, 2309.569300376786, 0.5127820194090252, 0.35468, 0.81524),
+            ),
+        ],
+    )
+    def test_narrow_dips_of_strong_squeezing(self, first, second):
+        # the minimum sits in the O(1/s)-wide dip around the narrow direction
+        # of a strongly squeezed state, where the sampled slope polynomial
+        # has lost its roots to roundoff
+        p1, p2 = GaussianParams(*first), GaussianParams(*second)
+        centre = p1.theta + math.pi / 2
+        window = np.linspace(centre - 50.0 / p1.s, centre + 50.0 / p1.s, 1 << 16)
+        reference = min(dense_min(p1, p2), float(np.min(overlap_grid(p1, p2, window))))
+        assert minimize_overlap_general(p1, p2)[1] <= reference + 1e-14
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            GaussianParams(1.0),
+            GaussianParams(2.0, 3.0, 0.4, 1.0, 2.0),
+            GaussianParams(1e8, 1e6, 1.0, 3.0, 4.0),
+        ],
+    )
+    def test_identical_states(self, p):
+        phi_min, val = minimize_overlap_general(p, p)
+        assert 0.0 <= phi_min < math.pi
+        assert abs(val - 1.0) <= 1e-15
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gamma=log_uniform(1.0, 1e6), pair=state_pairs(s_hi=1.0))
+    def test_round_equal_widths(self, gamma, pair):
+        p1 = GaussianParams(gamma)
+        p2 = GaussianParams(gamma, 1.0, 0.0, pair[1].alpha_x, pair[1].alpha_y)
+        assert len(_critical_angles(p1, p2)) == 2  # the numerator collapses to degree 1
+        phi_min, val = minimize_overlap_general(p1, p2)
+        # equal round widths: I_phi = exp(-beta_phi^2 / (2 gamma)), lowest along beta
+        expected = math.exp(-(p2.alpha_x**2 + p2.alpha_y**2) / (2.0 * gamma))
+        assert val == pytest.approx(expected, rel=1e-14)
+        assert mod_distance(phi_min, math.atan2(p2.alpha_y, p2.alpha_x), math.pi) < 1e-9
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(state_pairs(s_hi=1e6, displaced=False))
+    def test_zero_offset_matches_analytic(self, pair):
+        analytic = minimize_overlap(*pair)[1]
+        assert minimize_overlap_general(*pair)[1] == pytest.approx(analytic, abs=1e-14)
+
+    def test_classify_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
+        code = (
+            "import sys, gdist\n"
+            "G = gdist.GaussianParams\n"
+            "v = gdist.classify_pair(G(2.0), G(3.0, 1.0, 0.0, 0.5, -0.3))\n"
+            "assert v.kind is gdist.PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, v\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEqualityEquation:
@@ -511,6 +682,14 @@ class TestClassifyPair:
     def test_round_different_mean_routing(self):
         v = classify_pair(GaussianParams(2.0), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
+
+    def test_nearly_round_different_mean_routing(self):
+        # s = 1 + 1e-13 is round within the tolerance of means_equal
+        v = classify_pair(GaussianParams(2.0, 1.0 + 1e-13), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0))
+        assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
+        p1 = GaussianParams(2.0, 1.0, 0.0, 0.3, 0.0)
+        v = classify_pair(p1, GaussianParams(3.0, 1.0 + 1e-13, 0.2))
+        assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL
 
     def test_squeezed_different_mean_rejected(self):
         with pytest.raises(UnsupportedPairError):
