@@ -78,15 +78,22 @@ def emit_figure_data(req: FigureRequest, stream=None) -> None:
         raise ValueError("figure sweep needs at least 2 steps on each axis")
     stream.write("s2,phi,I_phi,F,norm_diff\n")
     phis = np.linspace(0.0, math.pi, req.phi_steps, endpoint=False)
+    phi_strs = [repr(phi) for phi in phis.tolist()]
     p1 = GaussianParams(g1, s1, 0.0)
-    for s2 in np.linspace(lo, hi, steps):
-        p2 = GaussianParams(g2, float(s2), theta_tilde)
+    for s2 in np.linspace(lo, hi, steps).tolist():
+        p2 = GaussianParams(g2, s2, theta_tilde)
         fid = fidelity_same_mean(p1, p2).fidelity
         vals = overlap_grid(p1, p2, phis)
-        for phi, val in zip(phis, vals):
-            stream.write(
-                f"{_fmt(s2)},{_fmt(phi)},{_fmt(val)},{_fmt(fid)},{_fmt((val - fid) / fid)}\n"
+        # elementwise IEEE ops: the same bits as the scalar (val - fid) / fid
+        norm_diff = (vals - fid) / fid
+        s2_str, fid_str = _fmt(s2), _fmt(fid)
+        # one write per s2 block, so memory stays one block whatever the grid
+        stream.write(
+            "".join(
+                f"{s2_str},{phi},{val!r},{fid_str},{diff!r}\n"
+                for phi, val, diff in zip(phi_strs, vals.tolist(), norm_diff.tolist())
             )
+        )
 
 
 def _load_pair(args) -> tuple[GaussianParams, GaussianParams]:

@@ -14,6 +14,9 @@ theta}), U (a^dag - a) U^dag = e^{i theta} a^dag - e^{-i theta} a, and
 a^dag^2 - a^2 splits into even and odd parity blocks of the same shape.  Each
 such matrix A is i V^dag T V with V = diag(i^k) and T real symmetric
 tridiagonal, so exp(tA) follows from the eigenpairs of T in real arithmetic.
+
+scipy (``eigh_tridiagonal``) is imported on first use, inside the cached
+per-dimension eigendecompositions, so importing gdist does not load it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalFailureError, TruncationError
 from .states import GaussianParams
@@ -94,6 +96,8 @@ def annihilation(dim: int) -> np.ndarray:
 
 def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the real symmetric tridiagonal with zero diagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
     w, q = eigh_tridiagonal(np.zeros(offdiag.size + 1), offdiag)
     w.setflags(write=False)
     q.setflags(write=False)

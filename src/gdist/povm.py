@@ -20,7 +20,7 @@ import numpy as np
 from .fidelity import fidelity_params
 from .homodyne import overlap_at
 from .optimality import minimize_overlap
-from .states import GaussianParams, SymplecticMap, covariance_from_params
+from .states import CovarianceState, GaussianParams, SymplecticMap, covariance_from_params
 
 
 class PovmKind(Enum):
@@ -84,6 +84,32 @@ class QDistribution:
         return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
+def _squeeze_matrix(spec: PovmFamilySpec) -> np.ndarray:
+    return SymplecticMap.squeezing(math.exp(2.0 * spec.r), spec.theta_u).matrix
+
+
+def _q_moments(state: CovarianceState, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q-covariance (M C M^T + I)/4 and mean M m of ``state`` under the squeeze M."""
+    return (m @ state.cov @ m.T + np.eye(2)) / 4.0, m @ state.mean
+
+
+def _bhattacharyya(q1: tuple[np.ndarray, np.ndarray], q2: tuple[np.ndarray, np.ndarray]) -> float:
+    """Overlap of two 2-D Gaussians given as (covariance, mean)."""
+    cov1, mean1 = q1
+    cov2, mean2 = q2
+    pooled = 0.5 * (cov1 + cov2)
+    det1 = float(cov1[0, 0] * cov1[1, 1] - cov1[0, 1] ** 2)
+    det2 = float(cov2[0, 0] * cov2[1, 1] - cov2[0, 1] ** 2)
+    detp = float(pooled[0, 0] * pooled[1, 1] - pooled[0, 1] ** 2)
+    diff = mean2 - mean1
+    quad = (
+        pooled[1, 1] * diff[0] * diff[0]
+        - 2.0 * pooled[0, 1] * diff[0] * diff[1]
+        + pooled[0, 0] * diff[1] * diff[1]
+    ) / detp
+    return (det1 * det2) ** 0.25 / math.sqrt(detp) * math.exp(-0.125 * quad)
+
+
 def povm_distribution(p: GaussianParams, spec: PovmFamilySpec) -> QDistribution:
     """Outcome distribution of the measurement on state ``p``.
 
@@ -93,11 +119,7 @@ def povm_distribution(p: GaussianParams, spec: PovmFamilySpec) -> QDistribution:
     """
     if spec.homodyne_limit:
         raise ValueError("homodyne-limit member has no 2-D outcome distribution")
-    state = covariance_from_params(p)
-    m = SymplecticMap.squeezing(math.exp(2.0 * spec.r), spec.theta_u).matrix
-    transformed = m @ state.cov @ m.T
-    cov = (transformed + np.eye(2)) / 4.0
-    return QDistribution(cov, m @ state.mean)
+    return QDistribution(*_q_moments(covariance_from_params(p), _squeeze_matrix(spec)))
 
 
 def povm_overlap(p1: GaussianParams, p2: GaussianParams, spec: PovmFamilySpec) -> float:
@@ -108,19 +130,10 @@ def povm_overlap(p1: GaussianParams, p2: GaussianParams, spec: PovmFamilySpec) -
     """
     if spec.homodyne_limit:
         return overlap_at(p1, p2, spec.theta_u)
-    q1 = povm_distribution(p1, spec)
-    q2 = povm_distribution(p2, spec)
-    pooled = 0.5 * (q1.cov + q2.cov)
-    det1 = float(q1.cov[0, 0] * q1.cov[1, 1] - q1.cov[0, 1] ** 2)
-    det2 = float(q2.cov[0, 0] * q2.cov[1, 1] - q2.cov[0, 1] ** 2)
-    detp = float(pooled[0, 0] * pooled[1, 1] - pooled[0, 1] ** 2)
-    diff = q2.mean - q1.mean
-    quad = (
-        pooled[1, 1] * diff[0] * diff[0]
-        - 2.0 * pooled[0, 1] * diff[0] * diff[1]
-        + pooled[0, 0] * diff[1] * diff[1]
-    ) / detp
-    return (det1 * det2) ** 0.25 / math.sqrt(detp) * math.exp(-0.125 * quad)
+    m = _squeeze_matrix(spec)
+    return _bhattacharyya(
+        _q_moments(covariance_from_params(p1), m), _q_moments(covariance_from_params(p2), m)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +166,14 @@ def conjecture_scan(
     """
     if theta_grid is None:
         theta_grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+    state1, state2 = covariance_from_params(p1), covariance_from_params(p2)
     rows = []
     for r in r_grid:
         best_val = math.inf
         best_theta = 0.0
         for theta in theta_grid:
-            val = povm_overlap(p1, p2, PovmFamilySpec(float(r), float(theta)))
+            m = _squeeze_matrix(PovmFamilySpec(float(r), float(theta)))
+            val = _bhattacharyya(_q_moments(state1, m), _q_moments(state2, m))
             if val < best_val:
                 best_val = val
                 best_theta = float(theta)

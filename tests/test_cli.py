@@ -1,15 +1,18 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
-from gdist import GaussianParams, minimize_overlap_general, state_to_dict
+import gdist
+from gdist import GaussianParams, fidelity_same_mean, minimize_overlap_general, state_to_dict
 from gdist.cli import Figure, FigureRequest, emit_figure_data, main
-from gdist.homodyne import minimize_overlap_scan
+from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
 
 def write_state(tmp_path, name, params):
@@ -204,6 +207,41 @@ class TestFigureCommand:
         assert min(float(r[4]) for r in rows) > 1e-3
 
 
+def rowwise_figure_csv(req):
+    """The figure CSV formatted one row at a time, five reprs per row: the byte reference."""
+    g1, g2, s1, theta_tilde = req.fixed
+    lo, hi, steps = req.s2_range
+    out = ["s2,phi,I_phi,F,norm_diff\n"]
+    phis = np.linspace(0.0, math.pi, req.phi_steps, endpoint=False)
+    p1 = GaussianParams(g1, s1, 0.0)
+    for s2 in np.linspace(lo, hi, steps):
+        p2 = GaussianParams(g2, float(s2), theta_tilde)
+        fid = fidelity_same_mean(p1, p2).fidelity
+        vals = overlap_grid(p1, p2, phis)
+        for phi, val in zip(phis, vals):
+            cells = (s2, phi, val, fid, (val - fid) / fid)
+            out.append(",".join(repr(float(x)) for x in cells) + "\n")
+    return "".join(out)
+
+
+class TestFigureBytes:
+    @pytest.mark.parametrize("which", list(Figure))
+    @pytest.mark.parametrize("grid", [None, ((1.0, 5.0, 7), 33)], ids=["default", "7x33"])
+    def test_matches_rowwise_formatter(self, which, grid):
+        if grid is None:
+            req = FigureRequest(which)
+        else:
+            req = FigureRequest(which, s2_range=grid[0], phi_steps=grid[1])
+        buf = io.StringIO()
+        emit_figure_data(req, buf)
+        got, want = buf.getvalue(), rowwise_figure_csv(req)
+        if got != want:  # name the first differing row, not a 13 MB diff
+            pairs = zip(got.splitlines(), want.splitlines())
+            row, (line, ref) = next((k, lr) for k, lr in enumerate(pairs) if lr[0] != lr[1])
+            pytest.fail(f"row {row}: {line!r} != {ref!r}")
+        assert got == want
+
+
 class TestOracleCheckCommand:
     def test_explicit_pair(self, tmp_path, vac):
         coh = write_state(tmp_path, "coh.json", GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0))
@@ -247,6 +285,46 @@ class TestPovmScanCommand:
         assert len(lines) == 6
         first = lines[1].split(",")
         assert abs(float(first[1]) - math.exp(-0.25)) < 1e-9
+
+
+class TestColdImports:
+    def test_pair_and_sweep_commands_leave_scipy_unloaded(self, tmp_path):
+        a = write_state(tmp_path, "a.json", GaussianParams(2.0))
+        b = write_state(tmp_path, "b.json", GaussianParams(3.0, 1.0, 0.0, 0.5, -0.3))
+        c = write_state(tmp_path, "c.json", GaussianParams(4.0, 1.4, math.pi / 3))
+        pair = ["--a", a, "--b", b]
+        argvs = [
+            ["fidelity", *pair],
+            ["classify", *pair],
+            ["classify", "--a", a, "--b", c],
+            ["overlap", *pair, "--phi", "0.7"],
+            ["solve-s2", "--g1", "2.0", "--g2", "4.0", "--s1", "2.0", "--theta", "1.0471975511965976"],
+            ["profile", *pair, "--steps", "16"],
+            ["povm-scan", *pair, "--r-steps", "4", "--theta-steps", "8"],
+            ["figure", "--which", "fig4", "--s2-steps", "3", "--phi-steps", "8"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "import gdist, gdist.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert gdist.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "G = gdist.GaussianParams\n"
+            "p1, p2 = G(1.5, 2.0, 0.3), G(2.0, 1.5, 1.1, 0.4, -0.2)\n"
+            "fid = gdist.fidelity_fock(gdist.build_state(p1, 80), gdist.build_state(p2, 80))\n"
+            "print(fid - gdist.fidelity_params(p1, p2).fidelity)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded, fid_dev, linalg_loaded = proc.stdout.splitlines()
+        assert loaded == "[]"
+        # the deferred import inside the Fock oracle still runs on first use
+        assert abs(float(fid_dev)) < 1e-8
+        assert linalg_loaded == "True"
 
 
 class TestConsoleScript:

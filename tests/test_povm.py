@@ -154,3 +154,25 @@ class TestConjectureScan:
         assert scan.monotone_decreasing
         assert abs(mins[0] - math.exp(-0.25)) < 1e-9
         assert abs(mins[-1] - scan.fidelity) < 1e-6
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            (GaussianParams(2.0, 3.0, 0.3), GaussianParams(3.0, 1.5, 1.1, 0.5, -0.3)),
+            (GaussianParams(1.5, 2.0, 0.0), GaussianParams(2.5, 4.0, 0.7)),
+        ],
+        ids=["displaced", "same-mean"],
+    )
+    def test_rows_equal_per_cell_overlaps(self, p1, p2):
+        r_grid = np.linspace(0.0, 6.0, 5)
+        theta_grid = np.linspace(0.0, math.pi, 16, endpoint=False)
+        scan = conjecture_scan(p1, p2, r_grid, theta_grid)
+        for r, row in zip(r_grid, scan.rows):
+            cells = [
+                povm_overlap(p1, p2, PovmFamilySpec(float(r), float(theta)))
+                for theta in theta_grid
+            ]
+            best = min(range(len(cells)), key=cells.__getitem__)
+            assert row.r == float(r)
+            assert row.min_overlap == cells[best]
+            assert row.argmin_theta == float(theta_grid[best])
