@@ -1,12 +1,28 @@
 """Quantum fidelity of two single-mode Gaussian states.
 
-Closed form for covariance states:
+Closed form (Twamley, J. Phys. A 29, 3723, 1996; Scutaru, J. Phys. A 31,
+3659, 1998), rationalized so that no difference of square roots remains:
 
-    F = sqrt(2 / (sqrt(Dcap + dlow) - sqrt(dlow))) * exp(-beta^T (C1+C2)^{-1} beta)
+    F = sqrt(2 (sqrt(Dcap + dlow) + sqrt(dlow)) / Dcap) * exp(-q)
 
-with Dcap = det(C1 + C2), dlow = (det C1 - 1)(det C2 - 1) and beta the mean
-difference.  The same-mean parameter form expresses Dcap through the squeeze
-mismatch D(s1, s2, theta2 - theta1).
+with Dcap = det(C1 + C2), dlow = (det C1 - 1)(det C2 - 1) and
+q = beta^T (C1 + C2)^{-1} beta for the mean difference beta.  The textbook
+form sqrt(2 / (sqrt(Dcap + dlow) - sqrt(dlow))) cancels for hot states
+(at gamma = 1e5 against 1.001e5 it returned F = 1 exactly).
+
+One kernel evaluates it from the five parameters, in scalar arithmetic
+whose every sum has nonnegative terms:
+
+- Dcap = (gamma1 + gamma2)^2 + (gamma1 gamma2 / 2)(D - 4), with D the squeeze
+  mismatch and D - 4 from ``squeeze_excess``;
+- dlow = (gamma1 - 1)(gamma1 + 1)(gamma2 - 1)(gamma2 + 1);
+- q = (beta^T adj(C1) beta + beta^T adj(C2) beta) / Dcap, since the 2x2
+  adjugate is linear and beta^T adj(C) beta = gamma ((beta.m)^2 / s + s (beta.n)^2)
+  with m the long axis of C and n its normal.
+
+``fidelity_params`` and ``fidelity_same_mean`` call the kernel directly;
+``fidelity_gaussian`` checks physicality and converts each covariance state
+to parameters once.
 """
 
 from __future__ import annotations
@@ -20,7 +36,6 @@ from .states import (
     GaussianParams,
     SymplecticMap,
     apply_symplectic,
-    covariance_from_params,
     default_tol,
     is_physical,
     params_from_covariance,
@@ -51,21 +66,53 @@ def squeeze_mismatch(s1: float, s2: float, theta_tilde: float) -> float:
     return s1p * s2p - s1m * s2m * math.cos(2.0 * theta_tilde)
 
 
-def _positive_excess(det: float) -> float:
-    # det - 1 clamped at 0: physicality allows det >= 1 - tol, and pure-state
-    # roundoff must not push the product under the square root negative.
-    return max(det - 1.0, 0.0)
+#: pi - math.pi, the part of pi that a double cannot hold.
+_PI_LO = 1.2246467991473532e-16
 
 
-def _report(delta_cap: float, delta_low: float, exponent: float, force_one: bool) -> FidelityReport:
-    if delta_low < 0.0:  # defensive; factors are clamped upstream
-        delta_low = 0.0
-    exponent += 0.0  # normalize -0.0
-    fid = math.sqrt(2.0 / (math.sqrt(delta_cap + delta_low) - math.sqrt(delta_low)))
-    fid *= math.exp(exponent)
-    if force_one:
+def squeeze_excess(p1: GaussianParams, p2: GaussianParams) -> float:
+    """D - 4 of the pair, as a sum of nonnegative terms:
+
+        D - 4 = 2 (s1 - s2)^2 / (s1 s2) + 2 (s1 - 1/s1)(s2 - 1/s2) sin^2(theta2 - theta1),
+
+    with s - 1/s taken as (s - 1)(s + 1)/s, so nearly identical ellipses
+    (D -> 4) keep their digits.  Directions are pi-periodic, and the float
+    difference of a direction near 0 and one near pi is off by up to
+    ulp(pi)/2, which a small sine turns into a large relative error.  Within
+    1/8 of the wrap the sine is therefore taken of the distance to pi, summed
+    from exact nonnegative pieces.  Elsewhere the sine exceeds 1/8, the
+    difference costs under 2e-15 relative, and its bits stay those of the
+    plain difference (which the ratio extremes and minimal overlap keep).
+    """
+    s1, s2 = p1.s, p2.s
+    s1m = (s1 - 1.0) * (s1 + 1.0) / s1
+    s2m = (s2 - 1.0) * (s2 + 1.0) / s2
+    tilt = p2.theta - p1.theta
+    if abs(tilt) > math.pi - 0.125:
+        hi, lo = (p2.theta, p1.theta) if tilt > 0.0 else (p1.theta, p2.theta)
+        tilt = (math.pi - hi) + lo + _PI_LO  # math.pi - hi is exact (Sterbenz)
+    sin_tt = math.sin(tilt)
+    return 2.0 * (s1 - s2) ** 2 / (s1 * s2) + 2.0 * s1m * s2m * sin_tt * sin_tt
+
+
+def _adjugate_form(p: GaussianParams, dx: float, dy: float) -> float:
+    """beta^T adj(C) beta = gamma ((beta.m)^2 / s + s (beta.n)^2) for beta = (dx, dy)."""
+    c, sn = math.cos(p.theta), math.sin(p.theta)
+    along, across = dx * c + dy * sn, dy * c - dx * sn
+    return p.gamma * (along * along / p.s + p.s * across * across)
+
+
+def _fidelity(p1: GaussianParams, p2: GaussianParams, dx: float, dy: float) -> FidelityReport:
+    """The one fidelity kernel, for mean difference (dx, dy); see the module docstring."""
+    g1, g2 = p1.gamma, p2.gamma
+    delta_cap = (g1 + g2) ** 2 + 0.5 * g1 * g2 * squeeze_excess(p1, p2)
+    delta_low = (g1 - 1.0) * (g1 + 1.0) * ((g2 - 1.0) * (g2 + 1.0))
+    exponent = 0.0 - (_adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)) / delta_cap
+    if states_equal(p1, p2):
         fid = 1.0
-    fid = min(fid, 1.0)
+    else:
+        root = math.sqrt(delta_cap + delta_low) + math.sqrt(delta_low)
+        fid = min(math.sqrt(2.0 * root / delta_cap) * math.exp(exponent), 1.0)
     return FidelityReport(
         fidelity=fid,
         delta_cap=delta_cap,
@@ -74,6 +121,15 @@ def _report(delta_cap: float, delta_low: float, exponent: float, force_one: bool
         bures_distance_sq=2.0 * (1.0 - fid),
         uhlmann_angle=math.acos(fid),
     )
+
+
+def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
+    """Fidelity for arbitrary parameterized states (any means).
+
+    Returns exactly 1 iff the states coincide within 1e-9 in canonical
+    parameters.
+    """
+    return _fidelity(p1, p2, p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
 
 
 def fidelity_gaussian(
@@ -89,18 +145,7 @@ def fidelity_gaussian(
         raise NonPhysicalStateError("first state is not physical")
     if not is_physical(b, tol):
         raise NonPhysicalStateError("second state is not physical")
-    total = a.cov + b.cov
-    delta_cap = float(total[0, 0] * total[1, 1] - total[0, 1] * total[1, 0])
-    delta_low = _positive_excess(a.det) * _positive_excess(b.det)
-    beta = b.mean - a.mean
-    # (C1 + C2)^{-1} via the 2x2 adjugate; exact up to one division
-    quad = (
-        total[1, 1] * beta[0] * beta[0]
-        - 2.0 * total[0, 1] * beta[0] * beta[1]
-        + total[0, 0] * beta[1] * beta[1]
-    ) / delta_cap
-    identical = states_equal(params_from_covariance(a, tol), params_from_covariance(b, tol))
-    return _report(delta_cap, delta_low, -quad, identical)
+    return fidelity_params(params_from_covariance(a, tol), params_from_covariance(b, tol))
 
 
 def fidelity_same_mean(
@@ -109,16 +154,13 @@ def fidelity_same_mean(
     """Fidelity from the five-parameter form, valid for equal means.
 
     Dcap = gamma1^2 + gamma2^2 + (gamma1 gamma2 / 2) D(s1, s2, theta2-theta1),
-    dlow = (gamma1^2 - 1)(gamma2^2 - 1).  Agrees with ``fidelity_gaussian``
-    to 1e-12.
+    dlow = (gamma1^2 - 1)(gamma2^2 - 1), and the exponent is 0: means equal
+    within ``tol`` count as equal.
     """
     tol = default_tol() if tol is None else tol
     if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
         raise MeanMismatchError("states do not share a mean; use fidelity_gaussian")
-    mism = squeeze_mismatch(p1.s, p2.s, p2.theta - p1.theta)
-    delta_cap = p1.gamma**2 + p2.gamma**2 + 0.5 * p1.gamma * p2.gamma * mism
-    delta_low = _positive_excess(p1.gamma**2) * _positive_excess(p2.gamma**2)
-    return _report(delta_cap, delta_low, 0.0, states_equal(p1, p2))
+    return _fidelity(p1, p2, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -177,7 +219,3 @@ def check_fidelity_properties(
             )
     return violations
 
-
-def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
-    """Fidelity for arbitrary parameterized states (any means)."""
-    return fidelity_gaussian(covariance_from_params(p1), covariance_from_params(p2))

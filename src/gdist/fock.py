@@ -313,11 +313,13 @@ def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
     With rho_i = L_i L_i^dag (``FockOperator.factor``, cached per operator),
     the fidelity is the trace norm of L1^dag L2: the sum of its singular
     values, which roundoff moves by eps rather than by sqrt(eps) as it does
-    the eigenvalues of the sandwich product.
+    the eigenvalues of the sandwich product.  Operators of different
+    truncations (``build_state`` picks one per state) compare in the larger
+    space, where the smaller factor has zero rows past its dim, so only the
+    first min(dim) rows of each factor enter.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    overlap = a.factor.conj().T @ b.factor
+    rows = min(a.dim, b.dim)
+    overlap = a.factor[:rows].conj().T @ b.factor[:rows]
     return float(np.sum(np.linalg.svd(overlap, compute_uv=False)))
 
 

@@ -33,11 +33,9 @@ from .errors import (
     MeanMismatchError,
     UnsupportedPairError,
 )
-from .fidelity import fidelity_params, fidelity_same_mean, squeeze_mismatch
-from .homodyne import overlap_from_ratio
+from .fidelity import fidelity_params, fidelity_same_mean, squeeze_excess, squeeze_mismatch
 from .states import (
     GaussianParams,
-    covariance_from_params,
     default_tol,
     means_equal,
     states_equal,
@@ -46,6 +44,7 @@ from .states import (
 
 PURITY_TOL = 1e-9
 CONDITION_TOL = 1e-9
+_SQRT2 = math.sqrt(2.0)
 
 
 class PairClass(Enum):
@@ -172,37 +171,63 @@ def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float
 
     Generalized eigenvalues of the covariance pair; roots of
     mu^2 - mu (gamma2/gamma1) D / 2 + (gamma2/gamma1)^2 = 0.  The
-    discriminant is taken as (D - 4)(D + 4) with
-
-        D - 4 = 2 (s1 - s2)^2 / (s1 s2) + 2 (s1 - 1/s1)(s2 - 1/s2) sin^2(theta_tilde),
-
-    a sum of nonnegative terms, so nearly identical ellipses (D -> 4) keep
-    their digits; mu_minus comes from the product mu_plus mu_minus = ratio^2.
+    discriminant is taken as (D - 4)(D + 4) with D - 4 from
+    ``squeeze_excess``, a sum of nonnegative terms, so nearly identical
+    ellipses (D -> 4) keep their digits; mu_minus comes from the product
+    mu_plus mu_minus = ratio^2.
     """
     ratio = p2.gamma / p1.gamma
-    s1, s2 = p1.s, p2.s
-    # s - 1/s as (s - 1)(s + 1)/s: exact subtraction for s near 1
-    s1m = (s1 - 1.0) * (s1 + 1.0) / s1
-    s2m = (s2 - 1.0) * (s2 + 1.0) / s2
-    sin_tt = math.sin(p2.theta - p1.theta)
-    excess = 2.0 * (s1 - s2) ** 2 / (s1 * s2) + 2.0 * s1m * s2m * sin_tt * sin_tt
+    excess = squeeze_excess(p1, p2)
     big = 4.0 + excess + math.sqrt(excess * (excess + 8.0))  # D + sqrt(D^2 - 16)
     return ratio * 4.0 / big, ratio * big / 4.0
 
 
+def _covariance_entries(p: GaussianParams) -> tuple[float, float, float]:
+    """(c00, c01, c11) of R(theta) diag(gamma s, gamma/s) R(theta)^T."""
+    c, sn = math.cos(p.theta), math.sin(p.theta)
+    long, short = p.gamma * p.s, p.gamma / p.s
+    return long * c * c + short * sn * sn, (long - short) * c * sn, long * sn * sn + short * c * c
+
+
 def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
     """Angle where B2/B1 attains the extreme ``mu`` (null direction of C2 - mu*C1)."""
-    c1 = covariance_from_params(p1).cov
-    c2 = covariance_from_params(p2).cov
-    m = c2 - mu * c1
+    a00, a01, a11 = _covariance_entries(p1)
+    b00, b01, b11 = _covariance_entries(p2)
+    m00, m01, m11 = b00 - mu * a00, b01 - mu * a01, b11 - mu * a11
     # null vector of a singular symmetric 2x2; pick the better-conditioned row
-    if abs(m[0, 0]) + abs(m[0, 1]) >= abs(m[1, 0]) + abs(m[1, 1]):
-        u = (m[0, 1], -m[0, 0])
+    if abs(m00) + abs(m01) >= abs(m01) + abs(m11):
+        u = (m01, -m00)
     else:
-        u = (m[1, 1], -m[1, 0])
+        u = (m11, -m01)
     if u == (0.0, 0.0):  # ratio constant in phi
         return 0.0
     return math.atan2(u[1], u[0]) % math.pi
+
+
+def _extreme_overlaps(mu_plus: float, mu_minus: float) -> tuple[float, float]:
+    """f(x) = sqrt(2) x^{1/4} / sqrt(1 + x) at both ratio extremes.
+
+    Scalar arithmetic except the fourth roots, which one numpy power call
+    takes for both: numpy's vectorized pow and libm's differ in the last bit
+    for a few percent of arguments, and the minimum keeps the bits of
+    ``homodyne.overlap_from_ratio``.
+    """
+    root_plus, root_minus = np.power((mu_plus, mu_minus), 0.25).tolist()
+    return (
+        _SQRT2 * root_plus / math.sqrt(1.0 + mu_plus),
+        _SQRT2 * root_minus / math.sqrt(1.0 + mu_minus),
+    )
+
+
+def _minimize_same_mean(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
+    """Analytic route of ``minimize_overlap``; the caller has checked the means."""
+    mu_minus, mu_plus = ratio_extremes(p1, p2)
+    f_plus, f_minus = _extreme_overlaps(mu_plus, mu_minus)
+    if f_plus <= f_minus:
+        mu, val = mu_plus, f_plus
+    else:
+        mu, val = mu_minus, f_minus
+    return _extreme_angle(p1, p2, mu), val
 
 
 def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
@@ -215,14 +240,7 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     """
     if not means_equal(p1, p2):
         return minimize_overlap_general(p1, p2)
-    mu_minus, mu_plus = ratio_extremes(p1, p2)
-    f_plus = float(overlap_from_ratio(mu_plus))
-    f_minus = float(overlap_from_ratio(mu_minus))
-    if f_plus <= f_minus:
-        mu, val = mu_plus, f_plus
-    else:
-        mu, val = mu_minus, f_minus
-    return _extreme_angle(p1, p2, mu), val
+    return _minimize_same_mean(p1, p2)
 
 
 #: The slope numerator is sampled at u_k = 2 pi k / 9 (u = 2 phi).  _TRIG
@@ -513,15 +531,23 @@ def check_condition_general(
     iff D = 2*thermal_ratio_sum within ``tol`` (relative).  The gap field is
     the analytic minimum of I_phi minus F.
     """
-    if not means_equal(p1, p2):
+    mean_tol = default_tol()
+    if not means_equal(p1, p2, mean_tol):
         raise MeanMismatchError(
             "means differ; use check_different_mean_symmetric or min-overlap"
         )
-    fid = fidelity_same_mean(p1, p2).fidelity
-    phi_min, val_min = minimize_overlap(p1, p2)
-    gap = val_min - fid
+    return _same_mean_verdict(p1, p2, tol, mean_tol)
+
+
+def _same_mean_verdict(
+    p1: GaussianParams, p2: GaussianParams, tol: float, mean_tol: float
+) -> OptimalityVerdict:
+    """``check_condition_general`` once the means are known to agree within ``mean_tol``."""
     if states_equal(p1, p2):
         return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
+    fid = fidelity_same_mean(p1, p2, mean_tol).fidelity
+    phi_min, val_min = _minimize_same_mean(p1, p2)
+    gap = val_min - fid
     pure1 = p1.is_pure(PURITY_TOL)
     pure2 = p2.is_pure(PURITY_TOL)
     if pure1 and pure2:
@@ -601,7 +627,7 @@ def check_different_mean_symmetric(
     p1 = GaussianParams(g1)
     p2 = GaussianParams(g2, alpha_x=beta[0], alpha_y=beta[1])
     if means_equal(p1, p2, tol):
-        return check_condition_general(p1, p2)
+        return _same_mean_verdict(p1, p2, CONDITION_TOL, tol)
     fid = fidelity_params(p1, p2).fidelity
     _, val_min = minimize_overlap_general(p1, p2)
     gap = val_min - fid
@@ -624,10 +650,10 @@ def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
     """
     tol = default_tol()
     if means_equal(p1, p2, tol):
-        return check_condition_general(p1, p2)
+        return _same_mean_verdict(p1, p2, CONDITION_TOL, tol)
     if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
         beta = (p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
-        return check_different_mean_symmetric(p1.gamma, p2.gamma, beta)
+        return check_different_mean_symmetric(p1.gamma, p2.gamma, beta, tol)
     raise UnsupportedPairError(
         "pairs with different means and squeezing are not classified; "
         "use min-overlap for the numeric gap"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gdist import GaussianParams
@@ -17,6 +18,17 @@ def random_params(rng, gamma_hi=6.0, s_hi=8.0, mean_scale=0.0):
     if mean_scale:
         ax, ay = rng.uniform(-mean_scale, mean_scale, size=2)
     return GaussianParams(gamma, s, theta, ax, ay)
+
+
+def matmul_covariance(p):
+    """R(theta) diag(gamma s, gamma/s) R(theta)^T by numpy matmul, as the seed built it."""
+    c, s = math.cos(p.theta), math.sin(p.theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([p.gamma * p.s, p.gamma / p.s]) @ rot.T
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 def quadrature_overlap(p1, p2, phi):

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdist import (
     GaussianParams,
@@ -13,8 +16,9 @@ from gdist import (
     fidelity_same_mean,
 )
 from gdist.fidelity import squeeze_mismatch
+from gdist.states import states_equal
 
-from conftest import random_params
+from conftest import log_uniform, matmul_covariance, random_params
 
 
 def thermal_bhattacharyya(nbar1, nbar2, terms=400):
@@ -161,3 +165,127 @@ class TestFidelityProperties:
             f_bc = fidelity_gaussian(b, c).fidelity
             f_ac = fidelity_gaussian(a, c).fidelity
             assert math.acos(f_ac) <= math.acos(f_ab) + math.acos(f_bc) + 1e-10
+
+
+def mpmath_fidelity(p1, p2):
+    """50-digit reference in the unrationalized covariance form.
+
+    F = sqrt(2 / (sqrt(Dcap + dlow) - sqrt(dlow))) exp(-beta^T (C1+C2)^{-1} beta)
+    with Dcap = det(C1 + C2) and dlow = (det C1 - 1)(det C2 - 1); at 50
+    digits the difference of square roots keeps more than 30 of them.
+    """
+    with mpmath.workdps(50):
+
+        def cov(p):
+            c, s = mpmath.cos(mpmath.mpf(p.theta)), mpmath.sin(mpmath.mpf(p.theta))
+            rot = mpmath.matrix([[c, -s], [s, c]])
+            g, sq = mpmath.mpf(p.gamma), mpmath.mpf(p.s)
+            return rot * mpmath.diag([g * sq, g / sq]) * rot.T
+
+        c1, c2 = cov(p1), cov(p2)
+        total = c1 + c2
+        delta_cap = mpmath.det(total)
+        # a pure state's det - 1 is roundoff of either sign at 50 digits
+        delta_low = max(mpmath.det(c1) - 1, 0) * max(mpmath.det(c2) - 1, 0)
+        beta = mpmath.matrix(
+            [mpmath.mpf(p2.alpha_x) - mpmath.mpf(p1.alpha_x), mpmath.mpf(p2.alpha_y) - mpmath.mpf(p1.alpha_y)]
+        )
+        quad = (beta.T * mpmath.inverse(total) * beta)[0]
+        root = mpmath.sqrt(delta_cap + delta_low) - mpmath.sqrt(delta_low)
+        return mpmath.sqrt(2 / root) * mpmath.exp(-quad), quad
+
+
+@st.composite
+def wide_same_mean_pairs(draw):
+    """gamma in [1, 1e8], s in [1, 1e6]; half the pairs nearly identical."""
+    gamma, s = draw(log_uniform(1.0, 1e8)), draw(log_uniform(1.0, 1e6))
+    theta = draw(st.floats(0.0, math.pi, exclude_max=True))
+    first = GaussianParams(gamma, s, theta)
+    if draw(st.booleans()):
+        rel = 10.0 ** -draw(st.floats(3.0, 12.0))
+        signs = [draw(st.sampled_from((-1.0, 1.0))) for _ in range(3)]
+        second = GaussianParams(
+            max(1.0, gamma * (1.0 + signs[0] * rel)), s * (1.0 + signs[1] * rel), theta + signs[2] * rel
+        )
+    else:
+        second = GaussianParams(
+            draw(log_uniform(1.0, 1e8)),
+            draw(log_uniform(1.0, 1e6)),
+            draw(st.floats(0.0, math.pi, exclude_max=True)),
+        )
+    return first, second
+
+
+class TestFidelityWithoutCancellation:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(wide_same_mean_pairs())
+    def test_matches_mpmath_on_the_wide_domain(self, pair):
+        fid = fidelity_params(*pair).fidelity
+        if states_equal(*pair):  # the identical-state rule: 1 within 1e-9
+            assert fid == 1.0
+            return
+        reference, _ = mpmath_fidelity(*pair)
+        assert abs(fid - float(reference)) <= 1e-14 * float(reference)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        first=st.tuples(log_uniform(1.0, 1e4), log_uniform(1.0, 1e3), st.floats(0.0, 3.14)),
+        second=st.tuples(log_uniform(1.0, 1e4), log_uniform(1.0, 1e3), st.floats(0.0, 3.14)),
+        shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    def test_exponent_matches_mpmath_for_displaced_pairs(self, first, second, shift):
+        p1, p2 = GaussianParams(*first), GaussianParams(*second, *shift)
+        _, quad = mpmath_fidelity(p1, p2)
+        exponent = fidelity_params(p1, p2).exponent
+        assert abs(exponent + float(quad)) <= 1e-14 * float(quad) + 1e-300
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        gamma=log_uniform(1.0, 1e6),
+        radius=st.floats(0.05, 2.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_equal_width_round_displaced_pairs(self, gamma, radius, angle):
+        beta = (radius * math.cos(angle), radius * math.sin(angle))
+        rep = fidelity_params(GaussianParams(gamma), GaussianParams(gamma, 1.0, 0.0, *beta))
+        expected = math.exp(-(beta[0] ** 2 + beta[1] ** 2) / (2.0 * gamma))
+        assert rep.fidelity == pytest.approx(expected, rel=1e-14)
+
+    def test_hot_thermal_pair_is_not_one(self):
+        # 1 - F = 1.2487510149690956e-7 (50-digit mpmath)
+        rep = fidelity_params(GaussianParams(1e5), GaussianParams(1.001e5))
+        assert rep.bures_distance_sq > 0.0
+        assert rep.fidelity < 1.0
+        assert 1.0 - rep.fidelity == pytest.approx(1.24875e-7, rel=1e-2)
+        assert 1.0 - rep.fidelity == pytest.approx(1.2487510149690956e-7, rel=1e-8)
+        assert rep.uhlmann_angle > 0.0
+
+
+def numpy_fidelity(p1, p2):
+    """The covariance route of the seed, kept as an independent reference.
+
+    Matmul covariances, Dcap as the determinant of their sum, the exponent
+    through the 2x2 adjugate, and the unrationalized closed form.
+    """
+    c1, c2 = matmul_covariance(p1), matmul_covariance(p2)
+    total = c1 + c2
+    delta_cap = total[0, 0] * total[1, 1] - total[0, 1] * total[1, 0]
+    det1 = c1[0, 0] * c1[1, 1] - c1[0, 1] * c1[1, 0]
+    det2 = c2[0, 0] * c2[1, 1] - c2[0, 1] * c2[1, 0]
+    delta_low = max(det1 - 1.0, 0.0) * max(det2 - 1.0, 0.0)
+    bx, by = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    quad = (total[1, 1] * bx * bx - 2.0 * total[0, 1] * bx * by + total[0, 0] * by * by) / delta_cap
+    root = math.sqrt(delta_cap + delta_low) - math.sqrt(delta_low)
+    return min(math.sqrt(2.0 / root) * math.exp(-quad), 1.0)
+
+
+class TestAgainstNumpyCovarianceRoute:
+    def test_fidelity_matches(self, rng):
+        # gamma > 1 here: for a pure state the reference's det - 1 is
+        # roundoff (about 1e-15), whose square root moves its F by up to 1e-8;
+        # pure states are checked against mpmath above
+        for _ in range(2000):
+            p1 = random_params(rng, gamma_hi=10.0, s_hi=8.0, mean_scale=1.5)
+            p2 = random_params(rng, gamma_hi=10.0, s_hi=8.0, mean_scale=1.5)
+            reference = numpy_fidelity(p1, p2)
+            assert fidelity_params(p1, p2).fidelity == pytest.approx(reference, rel=1e-12)

@@ -172,9 +172,17 @@ class TestFidelityFock:
             assert isinstance(info.value, GdistError)
             assert not isinstance(info.value, ValueError)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity_fock(build_state(GaussianParams(1.0), 10), build_state(GaussianParams(1.0), 12))
+    def test_dimension_mismatch_uses_shared_rows(self):
+        # a truncated state embeds in the larger space with zero rows
+        small, large = build_state(GaussianParams(1.0), 10), build_state(GaussianParams(1.0), 12)
+        assert abs(fidelity_fock(small, large) - 1.0) < 1e-12
+        assert abs(fidelity_fock(small, large) - fidelity_fock(large, small)) < 1e-14
+
+    def test_automatic_truncations_differ(self):
+        p1, p2 = GaussianParams(1.5, 2.0, 0.3), GaussianParams(2.0, 1.5, 1.1, 0.4, -0.2)
+        a, b = build_state(p1), build_state(p2)
+        assert (a.dim, b.dim) == (46, 52)
+        assert abs(fidelity_fock(a, b) - fidelity_params(p1, p2).fidelity) < 1e-8
 
     def test_tangency_configuration(self):
         a = build_state(GaussianParams(2.0, 2.0, 0.0), 120)

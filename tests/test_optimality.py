@@ -34,15 +34,11 @@ from gdist.fidelity import squeeze_mismatch
 from gdist.homodyne import b_ratio, minimize_overlap_scan, overlap_grid
 from gdist.optimality import PairClass, _critical_angles, _solve_harmonic
 
-from conftest import random_params
+from conftest import log_uniform, matmul_covariance, random_params
 
 
 def random_same_mean_pair(rng, gamma_hi=6.0, s_hi=8.0):
     return random_params(rng, gamma_hi, s_hi), random_params(rng, gamma_hi, s_hi)
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 @st.composite
@@ -694,3 +690,75 @@ class TestClassifyPair:
     def test_squeezed_different_mean_rejected(self):
         with pytest.raises(UnsupportedPairError):
             classify_pair(GaussianParams(1.0, 2.0, 0.0), GaussianParams(1.0, 2.0, 0.0, 1.0, 0.0))
+
+
+def numpy_extreme_angle(p1, p2, mu):
+    """The seed's witness angle: null vector of C2 - mu C1 from matmul covariances."""
+    m = matmul_covariance(p2) - mu * matmul_covariance(p1)
+    if abs(m[0, 0]) + abs(m[0, 1]) >= abs(m[1, 0]) + abs(m[1, 1]):
+        u = (m[0, 1], -m[0, 0])
+    else:
+        u = (m[1, 1], -m[1, 0])
+    return math.atan2(u[1], u[0]) % math.pi
+
+
+def pairs_without_covariance_route():
+    return [
+        (GaussianParams(2.0, 2.0, 0.0), GaussianParams(4.0, 1.4, math.pi / 3)),
+        (GaussianParams(1.0, 3.0, 0.2, 0.5, 0.1), GaussianParams(1.0, 1.5, 2.0, 0.5, 0.1)),
+        (GaussianParams(1.0, 2.0, 1.0), GaussianParams(3.0, 1.2, 0.3)),
+        (GaussianParams(2.0), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.5)),
+        (GaussianParams(2.0), GaussianParams(3.0, 1.0, 0.0, 0.5, -0.3)),
+    ]
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``gdist.states.<name>`` in every gdist module that bound it."""
+    original = getattr(gdist.states, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "gdist" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+class TestScalarPairPath:
+    def test_witness_angle_matches_numpy_route(self, rng):
+        from gdist.fidelity import squeeze_excess
+        from gdist.homodyne import overlap_from_ratio
+
+        checked = 0
+        for _ in range(2000):
+            p1, p2 = random_same_mean_pair(rng, gamma_hi=10.0, s_hi=8.0)
+            if squeeze_excess(p1, p2) <= 1e-6:
+                continue
+            mu_minus, mu_plus = ratio_extremes(p1, p2)
+            mu = mu_plus if overlap_from_ratio(mu_plus) <= overlap_from_ratio(mu_minus) else mu_minus
+            phi = minimize_overlap(p1, p2)[0]
+            assert mod_distance(phi, numpy_extreme_angle(p1, p2, mu), math.pi) < 1e-9
+            checked += 1
+        assert checked > 1900
+
+    @pytest.mark.parametrize("pair", pairs_without_covariance_route())
+    def test_no_covariance_round_trips(self, monkeypatch, pair):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair path left scalar arithmetic")
+
+        for name in ("covariance_from_params", "params_from_covariance"):
+            patch_everywhere(monkeypatch, name, refuse)
+        fidelity_params(*pair)
+        minimize_overlap(*pair)
+        classify_pair(*pair)
+
+    @pytest.mark.parametrize("pair", pairs_without_covariance_route())
+    def test_tolerance_read_at_most_once(self, monkeypatch, pair):
+        calls = []
+        original = gdist.states.default_tol
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        patch_everywhere(monkeypatch, "default_tol", counted)
+        for fn, most in ((fidelity_params, 0), (minimize_overlap, 1), (classify_pair, 1)):
+            calls.clear()
+            fn(*pair)
+            assert len(calls) <= most, fn.__name__
