@@ -7,7 +7,6 @@ A truncated Fock-space oracle cross-validates every closed form.
 """
 
 from .errors import (
-    DegenerateFidelityError,
     GdistError,
     MeanMismatchError,
     NonPhysicalStateError,
@@ -19,11 +18,9 @@ from .errors import (
 )
 from .fidelity import (
     FidelityReport,
-    check_fidelity_properties,
     fidelity_gaussian,
     fidelity_params,
     fidelity_same_mean,
-    squeeze_mismatch,
 )
 from .fock import (
     FockOperator,
@@ -36,38 +33,26 @@ from .fock import (
     overlap_fock,
 )
 from .homodyne import (
-    MarginalSpec,
     OverlapProfile,
-    b_ratio,
-    marginal,
     overlap_at,
-    overlap_from_ratio,
     overlap_profile,
-    overlap_same_mean,
 )
 from .optimality import (
-    OptimalityEquation,
     OptimalityVerdict,
     PairClass,
     S2Root,
-    build_equality_equation,
-    check_condition_general,
-    check_condition_s1_unity,
     check_different_mean_symmetric,
     classify_pair,
     minimize_overlap,
     minimize_overlap_general,
     ratio_extremes,
-    solve_equality_phi,
     solve_s2_for_optimality,
     thermal_ratio_sum,
 )
 from .povm import (
     ConjectureScan,
     PovmFamilySpec,
-    QDistribution,
     conjecture_scan,
-    povm_distribution,
     povm_overlap,
 )
 from .states import (
@@ -75,14 +60,12 @@ from .states import (
     GaussianParams,
     SymplecticMap,
     apply_symplectic,
-    characteristic_fn,
     covariance_from_params,
     is_physical,
     load_state,
     params_from_covariance,
     state_from_dict,
     state_to_dict,
-    wigner_fn,
 )
 
 __version__ = "0.1.0"

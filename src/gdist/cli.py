@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    DegenerateFidelityError,
     GdistError,
     MeanMismatchError,
     NonPhysicalStateError,
@@ -360,7 +359,6 @@ def main(argv=None) -> int:
         NotSymplecticError,
         MeanMismatchError,
         UnsupportedPairError,
-        DegenerateFidelityError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,10 +28,6 @@ class MeanMismatchError(GdistError):
     """Operation requires equal mean vectors but the inputs differ."""
 
 
-class DegenerateFidelityError(GdistError):
-    """Fidelity equals 1 (identical states), so an equality equation is vacuous."""
-
-
 class TruncationError(GdistError):
     """Fock-space truncation too small; probability leaked past the cutoff."""
 

@@ -34,8 +34,6 @@ from .errors import MeanMismatchError, NonPhysicalStateError
 from .states import (
     CovarianceState,
     GaussianParams,
-    SymplecticMap,
-    apply_symplectic,
     default_tol,
     is_physical,
     params_from_covariance,
@@ -53,17 +51,6 @@ class FidelityReport:
     exponent: float
     bures_distance_sq: float
     uhlmann_angle: float
-
-
-def squeeze_mismatch(s1: float, s2: float, theta_tilde: float) -> float:
-    """Mismatch D of two squeezing ellipses at relative angle theta_tilde.
-
-    D = (s1 + 1/s1)(s2 + 1/s2) - (s1 - 1/s1)(s2 - 1/s2) cos(2 theta_tilde);
-    D >= 4, with equality iff the ellipses coincide in shape and direction.
-    """
-    s1p, s1m = s1 + 1.0 / s1, s1 - 1.0 / s1
-    s2p, s2m = s2 + 1.0 / s2, s2 - 1.0 / s2
-    return s1p * s2p - s1m * s2m * math.cos(2.0 * theta_tilde)
 
 
 #: pi - math.pi, the part of pi that a double cannot hold.
@@ -161,61 +148,3 @@ def fidelity_same_mean(
     if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
         raise MeanMismatchError("states do not share a mean; use fidelity_gaussian")
     return _fidelity(p1, p2, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PropertyViolation:
-    name: str
-    magnitude: float
-    detail: str
-
-
-def check_fidelity_properties(
-    triples,
-    symmetry_tol: float = 1e-14,
-    invariance_tol: float = 1e-12,
-    triangle_tol: float = 1e-10,
-    map_=None,
-    displacement=(0.3, -0.2),
-) -> list[PropertyViolation]:
-    """Check fidelity properties on a sample of covariance-state triples.
-
-    Per triple: symmetry F(a,b) = F(b,a), range [0,1], invariance under a
-    shared symplectic map plus displacement, and the triangle inequality for
-    the angle arccos(F).  Returns the violations found (empty on pass).
-    """
-    if map_ is None:
-        rot = SymplecticMap.rotation(math.pi / 5).matrix
-        sq = SymplecticMap.squeezing(1.7, 0.4).matrix
-        map_ = SymplecticMap(rot @ sq)
-    violations: list[PropertyViolation] = []
-    for idx, (sa, sb, sc) in enumerate(triples):
-        fab = fidelity_gaussian(sa, sb).fidelity
-        fba = fidelity_gaussian(sb, sa).fidelity
-        if abs(fab - fba) > symmetry_tol:
-            violations.append(
-                PropertyViolation("symmetry", abs(fab - fba), f"triple {idx}")
-            )
-        fbc = fidelity_gaussian(sb, sc).fidelity
-        fac = fidelity_gaussian(sa, sc).fidelity
-        for val in (fab, fbc, fac):
-            if not (0.0 <= val <= 1.0):
-                violations.append(PropertyViolation("range", val, f"triple {idx}"))
-        ta = apply_symplectic(sa, map_, displacement)
-        tb = apply_symplectic(sb, map_, displacement)
-        moved = fidelity_gaussian(ta, tb).fidelity
-        if abs(moved - fab) > invariance_tol:
-            violations.append(
-                PropertyViolation("invariance", abs(moved - fab), f"triple {idx}")
-            )
-        angle = math.acos
-        if angle(fac) > angle(fab) + angle(fbc) + triangle_tol:
-            violations.append(
-                PropertyViolation(
-                    "triangle",
-                    angle(fac) - angle(fab) - angle(fbc),
-                    f"triple {idx}",
-                )
-            )
-    return violations
-

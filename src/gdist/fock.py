@@ -87,13 +87,6 @@ class FockOperator:
         return out
 
 
-@lru_cache(maxsize=32)
-def annihilation(dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-    a.setflags(write=False)
-    return a
-
-
 def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the real symmetric tridiagonal with zero diagonal."""
     from scipy.linalg import eigh_tridiagonal
@@ -151,33 +144,9 @@ def _phases(angle: float, dim: int) -> np.ndarray:
     return sliding_window_view(v, dim)[::-1]
 
 
-def displacement_op(alpha: complex, dim: int) -> np.ndarray:
-    """exp(alpha a^dag - alpha^* a) with truncated a.
-
-    The generator is |alpha| U (a^dag - a) U^dag with U = diag(e^{i n arg alpha}).
-    """
-    core = _orthogonal_core(_displacement_eigen(dim), abs(alpha))
-    return _phases(float(np.angle(alpha)), dim) * core
-
-
 def _squeeze_blocks(r: float, dim: int) -> list[np.ndarray]:
     """Real orthogonal exp[(r/2)(a^dag^2 - a^2)] on the even and odd levels."""
     return [_orthogonal_core(eigen, 0.5 * r) for eigen in _squeeze_eigen(dim)]
-
-
-def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
-    """Squeeze operator whose phase-space major axis lies along ``theta``.
-
-    The generator carries phase 2*theta: exp[(r/2)(e^{2i theta} a^dag^2 - h.c.)]
-    amplifies the quadrature X_theta by e^r, matching the covariance
-    parameterization used by the closed forms.  It is U exp[(r/2)(a^dag^2 -
-    a^2)] U^dag with U = diag(e^{i n theta}), the inner factor block diagonal
-    in the number parity.
-    """
-    core = np.zeros((dim, dim))
-    for parity, block in enumerate(_squeeze_blocks(r, dim)):
-        core[parity::2, parity::2] = block
-    return _phases(theta, dim) * core
 
 
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -404,18 +373,3 @@ def overlap_fock(
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))
-
-
-def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Number-basis amplitudes of a coherent state (truncated)."""
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, dim))]))
-    mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha) + 1e-300) - 0.5 * log_fact)
-    vec = mag * np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.where(n == 0, 1.0, 0.0)
-    return vec.astype(complex)
-
-
-def husimi_fock(a: FockOperator, alpha: complex) -> float:
-    """Husimi Q value <alpha|rho|alpha>/pi from the number basis."""
-    vec = coherent_vector(alpha, a.dim)
-    return float((vec.conj() @ a.matrix @ vec).real / math.pi)

@@ -13,31 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanMismatchError
 from .fidelity import fidelity_params
-from .states import GaussianParams, default_tol
-
-
-@dataclass(frozen=True)
-class MarginalSpec:
-    """Gaussian homodyne outcome distribution at measurement angle ``phi``.
-
-    ``b_variance_scale`` is B(phi); the actual variance is B/4.
-    """
-
-    b_variance_scale: float
-    mean_along: float
-    phi: float
-
-    @property
-    def variance(self) -> float:
-        return self.b_variance_scale / 4.0
-
-    def density(self, x):
-        """Probability density, vectorized over ``x``."""
-        b = self.b_variance_scale
-        x = np.asarray(x, dtype=float)
-        return np.sqrt(2.0 / (math.pi * b)) * np.exp(-2.0 * (x - self.mean_along) ** 2 / b)
+from .states import GaussianParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,30 +27,23 @@ class OverlapProfile:
     fidelity_ref: float
 
 
-def marginal(p: GaussianParams, phi: float) -> MarginalSpec:
-    """Homodyne marginal of ``p`` at angle ``phi``."""
-    d = phi - p.theta
-    b = p.gamma * (p.s * math.cos(d) ** 2 + math.sin(d) ** 2 / p.s)
-    mean = p.alpha_x * math.cos(phi) + p.alpha_y * math.sin(phi)
-    return MarginalSpec(b, mean, phi)
+def _width(p: GaussianParams, c, s):
+    """B(phi) = gamma (s cos^2 + sin^2 / s) from c, s = cos, sin of phi - theta.
 
-
-def overlap_from_ratio(x):
-    """Overlap of two same-mean normals from their width ratio.
-
-    f(x) = sqrt(2) x^{1/4} / sqrt(1 + x); concave, f(x) = f(1/x), f(1) = 1.
+    The product form keeps its digits in the narrow direction of a strongly
+    squeezed state, where gamma (s + 1/s + (s - 1/s) cos 2(phi - theta)) / 2
+    cancels.  Works on floats and on numpy arrays alike.
     """
-    x = np.asarray(x, dtype=float)
-    out = math.sqrt(2.0) * x**0.25 / np.sqrt(1.0 + x)
-    return float(out) if out.ndim == 0 else out
+    return p.gamma * (p.s * c**2 + s**2 / p.s)
 
 
 def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne distributions at ``phi``."""
-    m1 = marginal(p1, phi)
-    m2 = marginal(p2, phi)
-    b1, b2 = m1.b_variance_scale, m2.b_variance_scale
-    beta_phi = m2.mean_along - m1.mean_along
+    d1, d2 = phi - p1.theta, phi - p2.theta
+    b1 = _width(p1, math.cos(d1), math.sin(d1))
+    b2 = _width(p2, math.cos(d2), math.sin(d2))
+    cp, sp = math.cos(phi), math.sin(phi)
+    beta_phi = (p2.alpha_x * cp + p2.alpha_y * sp) - (p1.alpha_x * cp + p1.alpha_y * sp)
     return (
         math.sqrt(2.0 / (b1 + b2))
         * (b1 * b2) ** 0.25
@@ -81,36 +51,13 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     )
 
 
-def overlap_same_mean(
-    p1: GaussianParams, p2: GaussianParams, phi: float, tol: float | None = None
-) -> float:
-    """Same-mean overlap through the width ratio, f(B2/B1)."""
-    tol = default_tol() if tol is None else tol
-    if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
-        raise MeanMismatchError("states do not share a mean; use overlap_at")
-    return float(overlap_from_ratio(b_ratio(p1, p2, phi)))
-
-
-def b_ratio(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
-    """Width ratio B2/B1 in trigonometric form.
-
-    B2/B1 = gamma2 (s2p + s2m cos 2(phi - theta2))
-          / gamma1 (s1p + s1m cos 2(phi - theta1)),  sip = si + 1/si, sim = si - 1/si.
-    """
-    s1p, s1m = p1.s + 1.0 / p1.s, p1.s - 1.0 / p1.s
-    s2p, s2m = p2.s + 1.0 / p2.s, p2.s - 1.0 / p2.s
-    num = p2.gamma * (s2p + s2m * math.cos(2.0 * (phi - p2.theta)))
-    den = p1.gamma * (s1p + s1m * math.cos(2.0 * (phi - p1.theta)))
-    return num / den
-
-
 def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np.ndarray:
     """Vectorized I_phi over an array of angles."""
     phis = np.asarray(phis, dtype=float)
     d1 = phis - p1.theta
     d2 = phis - p2.theta
-    b1 = p1.gamma * (p1.s * np.cos(d1) ** 2 + np.sin(d1) ** 2 / p1.s)
-    b2 = p2.gamma * (p2.s * np.cos(d2) ** 2 + np.sin(d2) ** 2 / p2.s)
+    b1 = _width(p1, np.cos(d1), np.sin(d1))
+    b2 = _width(p2, np.cos(d2), np.sin(d2))
     beta = (p2.alpha_x - p1.alpha_x) * np.cos(phis) + (p2.alpha_y - p1.alpha_y) * np.sin(phis)
     return np.sqrt(2.0 / (b1 + b2)) * (b1 * b2) ** 0.25 * np.exp(-beta**2 / (b1 + b2))
 

@@ -13,11 +13,7 @@ with u = 2 phi the widths and the squared mean offset are first-degree
 trigonometric polynomials in u, so the critical points of log I_phi are
 the roots of a trigonometric polynomial of degree at most 4:
 ``minimize_overlap_general`` takes them from a companion matrix and
-polishes them with safeguarded Newton steps, with no grid.  The equality
-I_phi = F reduces to a harmonic equation a1 sin 2phi + a2 cos 2phi + a3 = 0
-whose solvability reproduces the classification: pure/pure pairs always
-reach equality, pure/mixed never, and mixed/mixed only on the surface
-D = 2 * thermal_ratio_sum.
+polishes them with safeguarded Newton steps, with no grid.
 """
 
 from __future__ import annotations
@@ -28,12 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateFidelityError,
-    MeanMismatchError,
-    UnsupportedPairError,
-)
-from .fidelity import fidelity_params, fidelity_same_mean, squeeze_excess, squeeze_mismatch
+from .errors import UnsupportedPairError
+from .fidelity import fidelity_params, fidelity_same_mean, squeeze_excess
 from .states import (
     GaussianParams,
     default_tol,
@@ -79,66 +71,6 @@ class OptimalityVerdict:
     gap: float
     witness_phi: float | None = None
     condition_residual: float | None = None
-
-
-@dataclass(frozen=True)
-class HarmonicBranch:
-    """One branch of the equality condition, as a harmonic equation in 2phi."""
-
-    target_ratio: float
-    upsilon: float
-    a1: float
-    a2: float
-    a3: float
-
-    @property
-    def discriminant(self) -> float:
-        return self.a1**2 + self.a2**2 - self.a3**2
-
-
-@dataclass(frozen=True)
-class OptimalityEquation:
-    """Both branches of the equality condition I_phi = F.
-
-    The two target width ratios are reciprocal; the reported ``a1, a2, a3``
-    and ``discriminant`` belong to the more solvable branch (larger
-    discriminant), and the equation is solvable iff that discriminant is
-    nonnegative.
-    """
-
-    branch_plus: HarmonicBranch
-    branch_minus: HarmonicBranch
-    fidelity: float
-
-    @property
-    def _leading(self) -> HarmonicBranch:
-        if self.branch_plus.discriminant >= self.branch_minus.discriminant:
-            return self.branch_plus
-        return self.branch_minus
-
-    @property
-    def a1(self) -> float:
-        return self._leading.a1
-
-    @property
-    def a2(self) -> float:
-        return self._leading.a2
-
-    @property
-    def a3(self) -> float:
-        return self._leading.a3
-
-    @property
-    def discriminant(self) -> float:
-        return self._leading.discriminant
-
-    @property
-    def upsilon_plus(self) -> float:
-        return self.branch_plus.upsilon
-
-    @property
-    def upsilon_minus(self) -> float:
-        return self.branch_minus.upsilon
 
 
 @dataclass(frozen=True)
@@ -209,8 +141,8 @@ def _extreme_overlaps(mu_plus: float, mu_minus: float) -> tuple[float, float]:
 
     Scalar arithmetic except the fourth roots, which one numpy power call
     takes for both: numpy's vectorized pow and libm's differ in the last bit
-    for a few percent of arguments, and the minimum keeps the bits of
-    ``homodyne.overlap_from_ratio``.
+    for a few percent of arguments, and the printed minimum keeps numpy's
+    bits.
     """
     root_plus, root_minus = np.power((mu_plus, mu_minus), 0.25).tolist()
     return (
@@ -426,123 +358,15 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     return wrap_angle(best_phi), best_value
 
 
-def build_equality_equation(
-    p1: GaussianParams, p2: GaussianParams, fid: float, tol: float | None = None
-) -> OptimalityEquation:
-    """Set up both harmonic branches of the equality I_phi = fid.
-
-    Each branch demands B2/B1 equal a target ratio [F^-2 +- sqrt(F^-4 - 1)]^2;
-    cross-multiplying the trigonometric width ratio gives the coefficients.
-    Raises DegenerateFidelityError for fid = 1 (every angle solves).
-    """
-    tol = default_tol() if tol is None else tol
-    if not means_equal(p1, p2, tol):
-        raise MeanMismatchError("equality analysis assumes equal means")
-    if not 0.0 < fid <= 1.0:
-        raise ValueError(f"fidelity must lie in (0, 1], got {fid}")
-    if fid >= 1.0 - 1e-12:
-        raise DegenerateFidelityError("fidelity is 1; the pair is identical")
-    inv2 = 1.0 / (fid * fid)
-    spread = math.sqrt(max(inv2 * inv2 - 1.0, 0.0))
-    s1p, s1m = p1.s + 1.0 / p1.s, p1.s - 1.0 / p1.s
-    s2p, s2m = p2.s + 1.0 / p2.s, p2.s - 1.0 / p2.s
-
-    def branch(target: float) -> HarmonicBranch:
-        a1 = p2.gamma * s2m * math.sin(2.0 * p2.theta) - target * p1.gamma * s1m * math.sin(
-            2.0 * p1.theta
-        )
-        a2 = p2.gamma * s2m * math.cos(2.0 * p2.theta) - target * p1.gamma * s1m * math.cos(
-            2.0 * p1.theta
-        )
-        a3 = p2.gamma * s2p - target * p1.gamma * s1p
-        return HarmonicBranch(target, (p1.gamma / p2.gamma) * target, a1, a2, a3)
-
-    return OptimalityEquation(
-        branch_plus=branch((inv2 + spread) ** 2),
-        branch_minus=branch((inv2 - spread) ** 2),
-        fidelity=fid,
-    )
-
-
-def _solve_harmonic(a1: float, a2: float, a3: float) -> list[float]:
-    """Roots in [0, pi) of a1 sin 2phi + a2 cos 2phi + a3 = 0.
-
-    Near-tangent equations (|discriminant| below 1e-12 of the amplitude)
-    collapse to one double root; returns [] when unsolvable.
-    """
-    rr = a1 * a1 + a2 * a2
-    if rr == 0.0:
-        return [0.0] if abs(a3) < 1e-15 else []
-    disc = rr - a3 * a3
-    if disc < -1e-12 * rr:
-        return []
-    r = math.sqrt(rr)
-    psi = math.atan2(a2, a1)
-    target = min(1.0, max(-1.0, -a3 / r))
-    if disc <= 1e-12 * rr:
-        # tangency: sin(2phi + psi) = +-1, a single double root
-        t = math.copysign(math.pi / 2.0, target)
-        return [((t - psi) / 2.0) % math.pi]
-    t = math.asin(target)
-    roots = [((t - psi) / 2.0) % math.pi, ((math.pi - t - psi) / 2.0) % math.pi]
-    return sorted(roots)
-
-
-def solve_equality_phi(eq: OptimalityEquation) -> list[float]:
-    """All angles in [0, pi) where I_phi equals the equation's fidelity."""
-    roots: list[float] = []
-    for branch in (eq.branch_plus, eq.branch_minus):
-        roots.extend(_solve_harmonic(branch.a1, branch.a2, branch.a3))
-    roots.sort()
-    deduped: list[float] = []
-    for phi in roots:
-        if deduped and (phi - deduped[-1]) < 1e-9:
-            continue
-        if deduped and (math.pi - phi + deduped[0]) < 1e-9:
-            continue  # wraps onto the first root mod pi
-        deduped.append(phi)
-    return deduped
-
-
-def check_condition_s1_unity(
-    g1: float, g2: float, s2: float, tol: float = CONDITION_TOL
-) -> bool:
-    """Optimality test for a round first state (s1 = 1).
-
-    True iff both states are pure, or both are mixed with
-    s2 + 1/s2 = thermal_ratio_sum(g1, g2) within the relative tolerance.
-    """
-    pure1 = g1 <= 1.0 + PURITY_TOL
-    pure2 = g2 <= 1.0 + PURITY_TOL
-    if pure1 and pure2:
-        return True
-    if pure1 != pure2:
-        return False
-    ratio_sum = thermal_ratio_sum(g1, g2)
-    return abs(s2 + 1.0 / s2 - ratio_sum) < tol * ratio_sum
-
-
-def check_condition_general(
-    p1: GaussianParams, p2: GaussianParams, tol: float = CONDITION_TOL
+def _same_mean_verdict(
+    p1: GaussianParams, p2: GaussianParams, mean_tol: float
 ) -> OptimalityVerdict:
-    """Classify a same-mean pair by the purity/mismatch criteria.
+    """Classify a pair whose means agree within ``mean_tol``.
 
     pure/pure -> always optimal; pure/mixed -> never; mixed/mixed -> optimal
-    iff D = 2*thermal_ratio_sum within ``tol`` (relative).  The gap field is
-    the analytic minimum of I_phi minus F.
+    iff D = 2*thermal_ratio_sum within CONDITION_TOL (relative).  The gap
+    field is the analytic minimum of I_phi minus F.
     """
-    mean_tol = default_tol()
-    if not means_equal(p1, p2, mean_tol):
-        raise MeanMismatchError(
-            "means differ; use check_different_mean_symmetric or min-overlap"
-        )
-    return _same_mean_verdict(p1, p2, tol, mean_tol)
-
-
-def _same_mean_verdict(
-    p1: GaussianParams, p2: GaussianParams, tol: float, mean_tol: float
-) -> OptimalityVerdict:
-    """``check_condition_general`` once the means are known to agree within ``mean_tol``."""
     if states_equal(p1, p2):
         return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
     fid = fidelity_same_mean(p1, p2, mean_tol).fidelity
@@ -557,9 +381,14 @@ def _same_mean_verdict(
     if pure1 != pure2:
         return OptimalityVerdict(PairClass.PURE_MIXED_NEVER_OPTIMAL, gap)
     ratio_sum = thermal_ratio_sum(p1.gamma, p2.gamma)
-    mism = squeeze_mismatch(p1.s, p2.s, p2.theta - p1.theta)
-    residual = mism - 2.0 * ratio_sum
-    if abs(residual) < tol * ratio_sum:
+    # D - 2T = (D - 4) - 2 (T - 2), T - 2 = (t1 - t2)^2 / (t1 t2) with t = gamma - 1/gamma
+    # and t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)): no cancellation, where D - 2T itself
+    # loses s1 s2 eps for nearly identical strongly squeezed pairs
+    g1, g2 = p1.gamma, p2.gamma
+    t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
+    t_prod = (g1 - 1.0) * (g1 + 1.0) / g1 * ((g2 - 1.0) * (g2 + 1.0) / g2)
+    residual = squeeze_excess(p1, p2) - 2.0 * t_gap * t_gap / t_prod
+    if abs(residual) < CONDITION_TOL * ratio_sum:
         return OptimalityVerdict(
             PairClass.MIXED_MIXED_OPTIMAL,
             gap,
@@ -627,7 +456,7 @@ def check_different_mean_symmetric(
     p1 = GaussianParams(g1)
     p2 = GaussianParams(g2, alpha_x=beta[0], alpha_y=beta[1])
     if means_equal(p1, p2, tol):
-        return _same_mean_verdict(p1, p2, CONDITION_TOL, tol)
+        return _same_mean_verdict(p1, p2, tol)
     fid = fidelity_params(p1, p2).fidelity
     _, val_min = minimize_overlap_general(p1, p2)
     gap = val_min - fid
@@ -650,7 +479,7 @@ def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
     """
     tol = default_tol()
     if means_equal(p1, p2, tol):
-        return _same_mean_verdict(p1, p2, CONDITION_TOL, tol)
+        return _same_mean_verdict(p1, p2, tol)
     if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
         beta = (p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
         return check_different_mean_symmetric(p1.gamma, p2.gamma, beta, tol)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,12 +20,6 @@ from .fidelity import fidelity_params
 from .homodyne import overlap_at
 from .optimality import minimize_overlap
 from .states import CovarianceState, GaussianParams, SymplecticMap, covariance_from_params
-
-
-class PovmKind(Enum):
-    HETERODYNE = "Heterodyne"
-    SQUEEZED = "Squeezed"
-    HOMODYNE_LIMIT = "HomodyneLimit"
 
 
 @dataclass(frozen=True)
@@ -47,12 +40,6 @@ class PovmFamilySpec:
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValueError(f"squeeze parameter must be finite and >= 0, got {self.r}")
 
-    @property
-    def kind(self) -> PovmKind:
-        if self.homodyne_limit:
-            return PovmKind.HOMODYNE_LIMIT
-        return PovmKind.HETERODYNE if self.r == 0.0 else PovmKind.SQUEEZED
-
     @staticmethod
     def heterodyne() -> "PovmFamilySpec":
         return PovmFamilySpec(0.0, 0.0)
@@ -64,24 +51,6 @@ class PovmFamilySpec:
     @staticmethod
     def homodyne(theta_u: float = 0.0) -> "PovmFamilySpec":
         return PovmFamilySpec(0.0, theta_u, homodyne_limit=True)
-
-
-@dataclass(frozen=True, eq=False)
-class QDistribution:
-    """2-D Gaussian outcome distribution over the alpha plane."""
-
-    cov: np.ndarray
-    mean: np.ndarray
-
-    def density(self, alpha_x, alpha_y):
-        """Probability density, vectorized over the outcome coordinates."""
-        det = float(self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2)
-        dx = np.asarray(alpha_x, dtype=float) - self.mean[0]
-        dy = np.asarray(alpha_y, dtype=float) - self.mean[1]
-        quad = (
-            self.cov[1, 1] * dx * dx - 2.0 * self.cov[0, 1] * dx * dy + self.cov[0, 0] * dy * dy
-        ) / det
-        return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
 def _squeeze_matrix(spec: PovmFamilySpec) -> np.ndarray:
@@ -108,18 +77,6 @@ def _bhattacharyya(q1: tuple[np.ndarray, np.ndarray], q2: tuple[np.ndarray, np.n
         + pooled[0, 0] * diff[1] * diff[1]
     ) / detp
     return (det1 * det2) ** 0.25 / math.sqrt(detp) * math.exp(-0.125 * quad)
-
-
-def povm_distribution(p: GaussianParams, spec: PovmFamilySpec) -> QDistribution:
-    """Outcome distribution of the measurement on state ``p``.
-
-    The squeeze maps the covariance to M C M^T; projecting onto coherent
-    states then adds one vacuum unit, giving Q-covariance (M C M^T + I)/4
-    and mean M m.  For r = 0 this is the plain Husimi Q of the state.
-    """
-    if spec.homodyne_limit:
-        raise ValueError("homodyne-limit member has no 2-D outcome distribution")
-    return QDistribution(*_q_moments(covariance_from_params(p), _squeeze_matrix(spec)))
 
 
 def povm_overlap(p1: GaussianParams, p2: GaussianParams, spec: PovmFamilySpec) -> float:

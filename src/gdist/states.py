@@ -9,7 +9,6 @@ X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -110,10 +109,6 @@ class GaussianParams:
     def is_pure(self, tol: float | None = None) -> bool:
         tol = default_tol() if tol is None else tol
         return self.gamma <= 1.0 + tol
-
-    def with_mean(self, alpha_x: float, alpha_y: float) -> "GaussianParams":
-        return GaussianParams(self.gamma, self.s, self.theta, alpha_x, alpha_y)
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
@@ -249,31 +244,6 @@ def apply_symplectic(
     if out.det < c.det - max(tol, 1e-12) * max(1.0, c.det):
         raise NonPhysicalStateError("symplectic transform shrank det(cov)")
     return out
-
-
-def characteristic_fn(c: CovarianceState, lam: complex) -> complex:
-    """Weyl characteristic function tr(rho D(lambda)) of a Gaussian state."""
-    lam = complex(lam)
-    lt = np.array([lam.imag, -lam.real])
-    quad = float(lt @ c.cov @ lt)
-    alpha = complex(c.mean[0], c.mean[1])
-    phase = lam * alpha.conjugate() - lam.conjugate() * alpha  # purely imaginary
-    return cmath.exp(phase - 0.5 * quad)
-
-
-def wigner_fn(c: CovarianceState, beta: complex) -> float:
-    """Wigner function at phase-space point beta = beta_x + i beta_y.
-
-    Gaussian closed form (2 / (pi sqrt(det cov))) exp(-2 b^T cov^{-1} b) with
-    b the displacement from the mean; integrates to 1 over the plane.
-    """
-    beta = complex(beta)
-    b = np.array([beta.real, beta.imag]) - c.mean
-    det = c.det
-    a, off, d = c.cov[0, 0], c.cov[0, 1], c.cov[1, 1]
-    # 2x2 inverse via adjugate
-    quad = (d * b[0] * b[0] - 2.0 * off * b[0] * b[1] + a * b[1] * b[1]) / det
-    return 2.0 / (math.pi * math.sqrt(det)) * math.exp(-2.0 * quad)
 
 
 def states_equal(a: GaussianParams, b: GaussianParams, tol: float = 1e-9) -> bool:

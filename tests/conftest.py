@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gdist import GaussianParams
-from gdist.homodyne import marginal
+
+from crosscheck import marginal
 
 
 def random_params(rng, gamma_hi=6.0, s_hi=8.0, mean_scale=0.0):

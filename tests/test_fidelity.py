@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from gdist import (
     GaussianParams,
     MeanMismatchError,
-    check_fidelity_properties,
     covariance_from_params,
     fidelity_gaussian,
     fidelity_params,
     fidelity_same_mean,
 )
-from gdist.fidelity import squeeze_mismatch
 from gdist.states import states_equal
 
 from conftest import log_uniform, matmul_covariance, random_params
+from crosscheck import check_fidelity_properties, squeeze_mismatch
 
 
 def thermal_bhattacharyya(nbar1, nbar2, terms=400):

@@ -22,16 +22,14 @@ from gdist import (
 )
 from gdist import fock
 from gdist.fock import (
-    annihilation,
-    displacement_op,
     hermite_functions,
     quadrature_moments,
     quadrature_wavefunctions,
-    squeeze_op,
     state_cache_info,
 )
-from gdist.homodyne import marginal
 from gdist.validation import oracle_check_pair
+
+from crosscheck import annihilation, displacement_op, marginal, squeeze_op
 
 EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
 

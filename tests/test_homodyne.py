@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,17 +8,14 @@ from scipy.integrate import quad
 from gdist import (
     GaussianParams,
     MeanMismatchError,
-    b_ratio,
     fidelity_params,
-    marginal,
     overlap_at,
-    overlap_from_ratio,
     overlap_profile,
-    overlap_same_mean,
 )
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
 from conftest import quadrature_overlap, random_params
+from crosscheck import b_ratio, marginal, overlap_from_ratio, overlap_same_mean
 
 
 class TestMarginal:
@@ -43,7 +41,9 @@ class TestMarginal:
     def test_matches_wigner_marginal_quadrature(self, phi):
         # independent route: integrate the Wigner function along the
         # orthogonal quadrature direction
-        from gdist import covariance_from_params, wigner_fn
+        from gdist import covariance_from_params
+
+        from crosscheck import wigner_fn
 
         p = GaussianParams(2.0, 2.0, math.pi / 6, 0.4, -0.3)
         c = covariance_from_params(p)
@@ -127,6 +127,23 @@ class TestOverlapAt:
             assert math.isclose(
                 overlap_at(p1, p2, phi), overlap_at(p1, p2, phi + math.pi), rel_tol=1e-14
             )
+
+    def test_narrow_direction_matches_mpmath(self):
+        # nearly aligned strongly squeezed states measured along their
+        # narrow direction, where the widths gamma (s + 1/s + (s - 1/s) cos)/2
+        # would cancel to 1e-6 relative
+        p1 = GaussianParams(2.0, 1e6, 0.3)
+        p2 = GaussianParams(3.0, 2e5, 0.3 + 1e-7)
+        phi = 0.3 + math.pi / 2
+        with mpmath.workdps(50):
+            widths = []
+            for p in (p1, p2):
+                d = mpmath.mpf(phi) - mpmath.mpf(p.theta)
+                s = mpmath.mpf(p.s)
+                widths.append(p.gamma * (s * mpmath.cos(d) ** 2 + mpmath.sin(d) ** 2 / s))
+            b1, b2 = widths
+            expected = mpmath.sqrt(2 / (b1 + b2)) * (b1 * b2) ** mpmath.mpf(0.25)
+        assert abs(overlap_at(p1, p2, phi) / expected - 1) <= 1e-12
 
     def test_fuchs_caves_bound_random(self, rng):
         for _ in range(500):

@@ -10,13 +10,12 @@ from gdist import (
     fidelity_params,
     minimize_overlap,
     overlap_at,
-    povm_distribution,
     povm_overlap,
 )
-from gdist.fock import FockOperator, build_state, husimi_fock, squeeze_op
-from gdist.povm import PovmKind
+from gdist.fock import FockOperator, build_state
 
 from conftest import random_params
+from crosscheck import PovmKind, husimi_fock, povm_distribution, povm_kind, squeeze_op
 
 
 def husimi_oracle(p, spec, alpha, dim=200):
@@ -29,9 +28,9 @@ def husimi_oracle(p, spec, alpha, dim=200):
 
 class TestPovmFamilySpec:
     def test_kinds(self):
-        assert PovmFamilySpec.heterodyne().kind is PovmKind.HETERODYNE
-        assert PovmFamilySpec.squeezed(1.0, 0.3).kind is PovmKind.SQUEEZED
-        assert PovmFamilySpec.homodyne(0.3).kind is PovmKind.HOMODYNE_LIMIT
+        assert povm_kind(PovmFamilySpec.heterodyne()) is PovmKind.HETERODYNE
+        assert povm_kind(PovmFamilySpec.squeezed(1.0, 0.3)) is PovmKind.SQUEEZED
+        assert povm_kind(PovmFamilySpec.homodyne(0.3)) is PovmKind.HOMODYNE_LIMIT
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):

@@ -13,17 +13,16 @@ from gdist import (
     StateFormatError,
     SymplecticMap,
     apply_symplectic,
-    characteristic_fn,
     covariance_from_params,
     is_physical,
     params_from_covariance,
     state_from_dict,
     state_to_dict,
-    wigner_fn,
 )
 from gdist.states import load_state, states_equal
 
 from conftest import random_params
+from crosscheck import characteristic_fn, wigner_fn
 
 
 class TestCanonicalization:
@@ -183,7 +182,9 @@ class TestCharacteristicFn:
         # oracle: tr(rho D(lambda)) with truncated operators
         from scipy.linalg import expm
 
-        from gdist.fock import annihilation, thermal_weights
+        from gdist.fock import thermal_weights
+
+        from crosscheck import annihilation
 
         dim = 60
         a = annihilation(dim)
