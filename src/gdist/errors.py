@@ -20,14 +20,6 @@ class NonPhysicalStateError(GdistError):
     """Covariance matrix violates the uncertainty bound det >= 1."""
 
 
-class NotSymplecticError(GdistError):
-    """Matrix does not preserve the symplectic form within tolerance."""
-
-
-class MeanMismatchError(GdistError):
-    """Operation requires equal mean vectors but the inputs differ."""
-
-
 class TruncationError(GdistError):
     """Fock-space truncation too small; probability leaked past the cutoff."""
 

@@ -20,9 +20,9 @@ whose every sum has nonnegative terms:
   adjugate is linear and beta^T adj(C) beta = gamma ((beta.m)^2 / s + s (beta.n)^2)
   with m the long axis of C and n its normal.
 
-``fidelity_params`` and ``fidelity_same_mean`` call the kernel directly;
-``fidelity_gaussian`` checks physicality and converts each covariance state
-to parameters once.
+``fidelity_params`` is the one entry point.  A state given as a covariance
+matrix reaches it through ``states.params_from_covariance``, which checks
+that the state is physical.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MeanMismatchError, NonPhysicalStateError
-from .states import (
-    CovarianceState,
-    GaussianParams,
-    default_tol,
-    is_physical,
-    params_from_covariance,
-    states_equal,
-)
+from .states import GaussianParams, states_equal
 
 
 @dataclass(frozen=True)
@@ -117,34 +109,3 @@ def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
     parameters.
     """
     return _fidelity(p1, p2, p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
-
-
-def fidelity_gaussian(
-    a: CovarianceState, b: CovarianceState, tol: float | None = None
-) -> FidelityReport:
-    """Fidelity of two Gaussian states given in covariance form.
-
-    Symmetric in its arguments; returns exactly 1 iff the states coincide
-    within 1e-9 in canonical parameters.
-    """
-    tol = default_tol() if tol is None else tol
-    if not is_physical(a, tol):
-        raise NonPhysicalStateError("first state is not physical")
-    if not is_physical(b, tol):
-        raise NonPhysicalStateError("second state is not physical")
-    return fidelity_params(params_from_covariance(a, tol), params_from_covariance(b, tol))
-
-
-def fidelity_same_mean(
-    p1: GaussianParams, p2: GaussianParams, tol: float | None = None
-) -> FidelityReport:
-    """Fidelity from the five-parameter form, valid for equal means.
-
-    Dcap = gamma1^2 + gamma2^2 + (gamma1 gamma2 / 2) D(s1, s2, theta2-theta1),
-    dlow = (gamma1^2 - 1)(gamma2^2 - 1), and the exponent is 0: means equal
-    within ``tol`` count as equal.
-    """
-    tol = default_tol() if tol is None else tol
-    if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
-        raise MeanMismatchError("states do not share a mean; use fidelity_gaussian")
-    return _fidelity(p1, p2, 0.0, 0.0)

@@ -225,11 +225,6 @@ def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
         d = min(2 * d, MAX_AUTO_DIM)
 
 
-def choose_dim(p: GaussianParams, min_dim: int = 0) -> int:
-    """Truncation at which the state is numerically adequate (see ``auto_state``)."""
-    return auto_state(p, min_dim).dim
-
-
 def build_state(p: GaussianParams, dim: int | None = None) -> FockOperator:
     """Density matrix of a displaced squeezed thermal state.
 
@@ -355,20 +350,17 @@ def marginal_fock(
     return density
 
 
-def default_overlap_grid(a: FockOperator, b: FockOperator, phi: float, points: int = 4001):
-    """Shared grid spanning 12 standard deviations around both marginals."""
+def default_overlap_grid(a: FockOperator, b: FockOperator, phi: float) -> np.ndarray:
+    """Shared grid of 4001 points spanning 12 standard deviations around both marginals."""
     stats = [quadrature_moments(op, phi) for op in (a, b)]
     lo = min(m - 12.0 * math.sqrt(max(v, 1e-12)) for m, v in stats)
     hi = max(m + 12.0 * math.sqrt(max(v, 1e-12)) for m, v in stats)
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, 4001)
 
 
-def overlap_fock(
-    a: FockOperator, b: FockOperator, phi: float, grid: np.ndarray | None = None
-) -> float:
+def overlap_fock(a: FockOperator, b: FockOperator, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne marginals (trapezoidal)."""
-    if grid is None:
-        grid = default_overlap_grid(a, b, phi)
+    grid = default_overlap_grid(a, b, phi)
     table = quadrature_wavefunctions(max(a.dim, b.dim), grid)
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)

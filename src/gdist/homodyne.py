@@ -9,22 +9,13 @@ a_phi the projection of the mean amplitude onto the measurement direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import fidelity_params
-from .states import GaussianParams
+from .states import GaussianParams, wrap_angle
 
-
-@dataclass(frozen=True, eq=False)
-class OverlapProfile:
-    """Sampled overlap curve phi -> I_phi plus its exact minimum."""
-
-    samples: np.ndarray  # shape (n, 2): columns (phi, overlap)
-    min_overlap: float
-    argmin_phi: float
-    fidelity_ref: float
+#: Grid of the scan minimizer over [0, pi), before golden-section refinement.
+_SCAN_POINTS = 4096
 
 
 def _width(p: GaussianParams, c, s):
@@ -62,9 +53,7 @@ def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np
     return np.sqrt(2.0 / (b1 + b2)) * (b1 * b2) ** 0.25 * np.exp(-beta**2 / (b1 + b2))
 
 
-def minimize_overlap_scan(
-    p1: GaussianParams, p2: GaussianParams, grid_points: int = 4096
-) -> tuple[float, float]:
+def minimize_overlap_scan(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Scan minimizer: dense grid over [0, pi) plus golden-section refinement.
 
     Returns (phi_min, overlap_min) with phi refined to about 1e-10.  Serves
@@ -74,34 +63,18 @@ def minimize_overlap_scan(
     """
     from scipy.optimize import minimize_scalar
 
-    phis = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+    phis = np.linspace(0.0, math.pi, _SCAN_POINTS, endpoint=False)
     vals = overlap_grid(p1, p2, phis)
     k = int(np.argmin(vals))
-    step = math.pi / grid_points
+    step = math.pi / _SCAN_POINTS
     lo, hi = phis[k] - step, phis[k] + step
 
     def objective(phi):
         return overlap_at(p1, p2, phi)
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    phi_min = float(res.x) % math.pi
+    phi_min = wrap_angle(float(res.x))
     val = float(res.fun)
     if val <= vals[k]:
         return phi_min, val
     return float(phis[k]), float(vals[k])
-
-
-def overlap_profile(
-    p1: GaussianParams, p2: GaussianParams, steps: int = 720
-) -> OverlapProfile:
-    """Sample I_phi on ``steps`` angles and attach the exact minimum."""
-    from .optimality import minimize_overlap  # optimality imports this module
-
-    if steps < 2:
-        raise ValueError("profile needs at least 2 steps")
-    phis = np.linspace(0.0, math.pi, steps, endpoint=False)
-    vals = overlap_grid(p1, p2, phis)
-    phi_min, val_min = minimize_overlap(p1, p2)
-    fid = fidelity_params(p1, p2).fidelity
-    samples = np.column_stack([phis, vals])
-    return OverlapProfile(samples, val_min, phi_min, fid)

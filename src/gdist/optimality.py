@@ -14,6 +14,11 @@ trigonometric polynomials in u, so the critical points of log I_phi are
 the roots of a trigonometric polynomial of degree at most 4:
 ``minimize_overlap_general`` takes them from a companion matrix and
 polishes them with safeguarded Newton steps, with no grid.
+
+``classify_pair`` is the one classifier.  It reads the tolerance
+(``default_tol``, overridable through GDIST_TOL) once and decides every
+gate of the verdict with it: equal means, round states, identical states,
+purity, equal thermal widths and the mixed/mixed equality surface.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedPairError
-from .fidelity import fidelity_params, fidelity_same_mean, squeeze_excess
+from .fidelity import _fidelity, fidelity_params, squeeze_excess
 from .states import (
     GaussianParams,
     default_tol,
@@ -34,8 +39,6 @@ from .states import (
     wrap_angle,
 )
 
-PURITY_TOL = 1e-9
-CONDITION_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -47,15 +50,6 @@ class PairClass(Enum):
     DIFFERENT_MEAN_SYMMETRIC_OPTIMAL = "DifferentMeanSymmetricOptimal"
     DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL = "DifferentMeanSymmetricNotOptimal"
     IDENTICAL_STATES = "IdenticalStates"
-
-    @property
-    def is_optimal(self) -> bool:
-        return self in (
-            PairClass.PURE_PURE_ALWAYS_OPTIMAL,
-            PairClass.MIXED_MIXED_OPTIMAL,
-            PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL,
-            PairClass.IDENTICAL_STATES,
-        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,17 @@ def thermal_ratio_sum(g1: float, g2: float) -> float:
     return t2 / t1 + t1 / t2
 
 
+def _thermal_excess(g1: float, g2: float) -> float:
+    """thermal_ratio_sum - 2 = (t1 - t2)^2 / (t1 t2), without cancellation.
+
+    t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)) and t = (g - 1)(g + 1)/g, where the
+    difference of the ratio sum and 2 loses its digits for nearly equal gammas.
+    """
+    t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
+    t_prod = (g1 - 1.0) * (g1 + 1.0) / g1 * ((g2 - 1.0) * (g2 + 1.0) / g2)
+    return t_gap * t_gap / t_prod
+
+
 def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Extremal values (mu_minus, mu_plus) of B2/B1 over the angle.
 
@@ -133,7 +138,7 @@ def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
         u = (m11, -m01)
     if u == (0.0, 0.0):  # ratio constant in phi
         return 0.0
-    return math.atan2(u[1], u[0]) % math.pi
+    return wrap_angle(math.atan2(u[1], u[0]))
 
 
 def _extreme_overlaps(mu_plus: float, mu_minus: float) -> tuple[float, float]:
@@ -358,22 +363,21 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     return wrap_angle(best_phi), best_value
 
 
-def _same_mean_verdict(
-    p1: GaussianParams, p2: GaussianParams, mean_tol: float
-) -> OptimalityVerdict:
-    """Classify a pair whose means agree within ``mean_tol``.
+def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> OptimalityVerdict:
+    """Classify a pair whose means agree within ``tol``.
 
     pure/pure -> always optimal; pure/mixed -> never; mixed/mixed -> optimal
-    iff D = 2*thermal_ratio_sum within CONDITION_TOL (relative).  The gap
-    field is the analytic minimum of I_phi minus F.
+    iff D = 2*thermal_ratio_sum within ``tol`` (relative).  State equality
+    and purity are decided with the same ``tol``.  The gap field is the
+    analytic minimum of I_phi minus F.
     """
-    if states_equal(p1, p2):
+    if states_equal(p1, p2, tol):
         return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
-    fid = fidelity_same_mean(p1, p2, mean_tol).fidelity
+    fid = _fidelity(p1, p2, 0.0, 0.0).fidelity
     phi_min, val_min = _minimize_same_mean(p1, p2)
     gap = val_min - fid
-    pure1 = p1.is_pure(PURITY_TOL)
-    pure2 = p2.is_pure(PURITY_TOL)
+    pure1 = p1.is_pure(tol)
+    pure2 = p2.is_pure(tol)
     if pure1 and pure2:
         return OptimalityVerdict(
             PairClass.PURE_PURE_ALWAYS_OPTIMAL, gap, witness_phi=phi_min
@@ -381,14 +385,10 @@ def _same_mean_verdict(
     if pure1 != pure2:
         return OptimalityVerdict(PairClass.PURE_MIXED_NEVER_OPTIMAL, gap)
     ratio_sum = thermal_ratio_sum(p1.gamma, p2.gamma)
-    # D - 2T = (D - 4) - 2 (T - 2), T - 2 = (t1 - t2)^2 / (t1 t2) with t = gamma - 1/gamma
-    # and t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)): no cancellation, where D - 2T itself
-    # loses s1 s2 eps for nearly identical strongly squeezed pairs
-    g1, g2 = p1.gamma, p2.gamma
-    t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
-    t_prod = (g1 - 1.0) * (g1 + 1.0) / g1 * ((g2 - 1.0) * (g2 + 1.0) / g2)
-    residual = squeeze_excess(p1, p2) - 2.0 * t_gap * t_gap / t_prod
-    if abs(residual) < CONDITION_TOL * ratio_sum:
+    # D - 2T = (D - 4) - 2 (T - 2), both excesses free of cancellation, where
+    # D - 2T itself loses s1 s2 eps for nearly identical strongly squeezed pairs
+    residual = squeeze_excess(p1, p2) - 2.0 * _thermal_excess(p1.gamma, p2.gamma)
+    if abs(residual) < tol * ratio_sum:
         return OptimalityVerdict(
             PairClass.MIXED_MIXED_OPTIMAL,
             gap,
@@ -405,84 +405,75 @@ def solve_s2_for_optimality(
 ) -> list[S2Root]:
     """Squeezing degrees s2 putting a mixed/mixed pair on the equality surface.
 
-    D(s1, s2, theta_tilde) = 2*thermal_ratio_sum becomes, after multiplying
-    by s2, the quadratic
+    D(s1, s2, theta_tilde) = 2 T, T = thermal_ratio_sum, becomes after
+    multiplying by s2 the quadratic qa s2^2 - 2 T s2 + qc = 0 with
 
-        (s1p - s1m c) s2^2 - 2*ratio_sum s2 + (s1p + s1m c) = 0,  c = cos 2*theta_tilde.
+        qa = 2 s1 sin^2(theta_tilde) + 2 cos^2(theta_tilde) / s1,
+        qc = 2 s1 cos^2(theta_tilde) + 2 sin^2(theta_tilde) / s1,
+
+    and qa qc = 4 + ((s1 - 1/s1) sin 2 theta_tilde)^2, so a quarter of its
+    discriminant is (T - 2)(T + 2) - ((s1 - 1/s1) sin 2 theta_tilde)^2.  The
+    larger root is (T + sqrt(disc/4)) / qa and the smaller follows from the
+    product of the roots, qc / qa, so neither cancels (Goldberg 1991).
 
     Real roots are returned in descending raw order, canonicalized to s2 >= 1;
     an empty list means the configuration can never reach equality.
     """
-    if g1 <= 1.0 + PURITY_TOL or g2 <= 1.0 + PURITY_TOL:
+    tol = default_tol()
+    if g1 <= 1.0 + tol or g2 <= 1.0 + tol:
         raise ValueError("equality surface applies to mixed states only (gamma > 1)")
     if s1 < 1.0:
         raise ValueError("s1 must be canonical (>= 1)")
     ratio_sum = thermal_ratio_sum(g1, g2)
-    c = math.cos(2.0 * theta_tilde)
-    s1p, s1m = s1 + 1.0 / s1, s1 - 1.0 / s1
-    qa = s1p - s1m * c
-    qb = -2.0 * ratio_sum
-    qc = s1p + s1m * c
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < -1e-12 * ratio_sum * ratio_sum:
+    cos_t, sin_t = math.cos(theta_tilde), math.sin(theta_tilde)
+    qa = 2.0 * s1 * sin_t * sin_t + 2.0 * cos_t * cos_t / s1
+    qc = 2.0 * s1 * cos_t * cos_t + 2.0 * sin_t * sin_t / s1
+    skew = (s1 - 1.0) * (s1 + 1.0) / s1 * math.sin(2.0 * theta_tilde)
+    quarter = _thermal_excess(g1, g2) * (ratio_sum + 2.0) - skew * skew
+    # the tangency decisions on the full discriminant, 4 quarter: below
+    # -1e-12 T^2 no real root, a square root below 1e-15 T one double root
+    if quarter < -0.25e-12 * ratio_sum * ratio_sum:
         return []
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    raw = [(-qb + root) / (2.0 * qa)]
-    if root > 1e-15 * ratio_sum:
-        raw.append((-qb - root) / (2.0 * qa))
+    root = math.sqrt(max(quarter, 0.0))
+    big = (ratio_sum + root) / qa
+    raw = [big]
+    if root > 0.5e-15 * ratio_sum:
+        raw.append(qc / (qa * big))
     out = []
     for value in raw:
         if value >= 1.0:
-            out.append(S2Root(value, theta_tilde % math.pi))
+            out.append(S2Root(value, wrap_angle(theta_tilde)))
         else:
-            out.append(S2Root(1.0 / value, (theta_tilde + math.pi / 2.0) % math.pi))
+            out.append(S2Root(1.0 / value, wrap_angle(theta_tilde + math.pi / 2.0)))
     return out
-
-
-def check_different_mean_symmetric(
-    g1: float, g2: float, beta, tol: float | None = None
-) -> OptimalityVerdict:
-    """Classify a pair of round states (s = 1) whose means differ by ``beta``.
-
-    Optimal iff the thermal widths coincide; the witness angle aligns with
-    the mean difference.  The gap comes from the exact minimizer
-    ``minimize_overlap_general``.
-    """
-    tol = default_tol() if tol is None else tol
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (2,):
-        raise ValueError("beta must be a 2-vector")
-    p1 = GaussianParams(g1)
-    p2 = GaussianParams(g2, alpha_x=beta[0], alpha_y=beta[1])
-    if means_equal(p1, p2, tol):
-        return _same_mean_verdict(p1, p2, tol)
-    fid = fidelity_params(p1, p2).fidelity
-    _, val_min = minimize_overlap_general(p1, p2)
-    gap = val_min - fid
-    if abs(g1 - g2) < tol:
-        witness = math.atan2(beta[1], beta[0]) % math.pi
-        return OptimalityVerdict(
-            PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness_phi=witness
-        )
-    return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, gap)
 
 
 def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
     """Route a pair to the applicable classifier.
 
-    Equal means go to the purity/mismatch criteria; differing means are
+    Equal means go to the purity/mismatch criteria.  Differing means are
     classified only for round states, s = 1 within the tolerance that
-    ``means_equal`` uses.  Other configurations raise UnsupportedPairError
-    (their numeric gap is still available through
-    ``minimize_overlap_general``).
+    ``means_equal`` uses: such a pair is optimal iff the thermal widths
+    coincide, with the witness angle along the mean difference, and its gap
+    comes from the exact minimizer ``minimize_overlap_general``.  Other
+    configurations raise UnsupportedPairError (their numeric gap is still
+    available through ``minimize_overlap_general``).
     """
     tol = default_tol()
     if means_equal(p1, p2, tol):
         return _same_mean_verdict(p1, p2, tol)
     if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
-        beta = (p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
-        return check_different_mean_symmetric(p1.gamma, p2.gamma, beta, tol)
+        # the gap of the exactly round pair: s within tol of 1 counts as round
+        g1, g2 = p1.gamma, p2.gamma
+        dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+        q1, q2 = GaussianParams(g1), GaussianParams(g2, 1.0, 0.0, dx, dy)
+        gap = minimize_overlap_general(q1, q2)[1] - fidelity_params(q1, q2).fidelity
+        if abs(g1 - g2) < tol:
+            witness = wrap_angle(math.atan2(dy, dx))
+            return OptimalityVerdict(
+                PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness_phi=witness
+            )
+        return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, gap)
     raise UnsupportedPairError(
         "pairs with different means and squeezing are not classified; "
         "use min-overlap for the numeric gap"

@@ -19,7 +19,7 @@ import numpy as np
 from .fidelity import fidelity_params
 from .homodyne import overlap_at
 from .optimality import minimize_overlap
-from .states import CovarianceState, GaussianParams, SymplecticMap, covariance_from_params
+from .states import CovarianceState, GaussianParams, covariance_from_params
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,13 @@ class PovmFamilySpec:
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValueError(f"squeeze parameter must be finite and >= 0, got {self.r}")
 
-    @staticmethod
-    def heterodyne() -> "PovmFamilySpec":
-        return PovmFamilySpec(0.0, 0.0)
-
-    @staticmethod
-    def squeezed(r: float, theta_u: float = 0.0) -> "PovmFamilySpec":
-        return PovmFamilySpec(r, theta_u)
-
-    @staticmethod
-    def homodyne(theta_u: float = 0.0) -> "PovmFamilySpec":
-        return PovmFamilySpec(0.0, theta_u, homodyne_limit=True)
-
 
 def _squeeze_matrix(spec: PovmFamilySpec) -> np.ndarray:
-    return SymplecticMap.squeezing(math.exp(2.0 * spec.r), spec.theta_u).matrix
+    """R(theta_u) diag(sqrt s, 1/sqrt s) R(theta_u)^T, the squeeze of degree s = e^{2r}."""
+    s = math.exp(2.0 * spec.r)
+    c, sn = math.cos(spec.theta_u), math.sin(spec.theta_u)
+    rot = np.array([[c, -sn], [sn, c]])
+    return rot @ np.diag([math.sqrt(s), 1.0 / math.sqrt(s)]) @ rot.T
 
 
 def _q_moments(state: CovarianceState, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

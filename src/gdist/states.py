@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPhysicalStateError, NotSymplecticError, StateFormatError
+from .errors import NonPhysicalStateError, StateFormatError
 
 DEFAULT_TOL = 1e-9
-
-#: Symplectic form of one mode, [R_i, R_j] = i * Sigma_ij.
-SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def default_tol() -> float:
@@ -36,8 +33,11 @@ def default_tol() -> float:
 
 
 def wrap_angle(theta: float) -> float:
-    """Reduce an angle to [0, pi); squeezing directions are pi-periodic."""
-    theta = math.fmod(theta, math.pi)
+    """Reduce an angle to [0, pi); squeezing directions are pi-periodic.
+
+    Unlike ``theta % math.pi``, a tiny negative angle maps to 0, not to pi.
+    """
+    theta = math.fmod(theta, math.pi) + 0.0  # + 0.0 turns -0.0 into 0.0
     if theta < 0.0:
         theta += math.pi
     if theta >= math.pi:  # fmod roundoff at the boundary
@@ -125,7 +125,7 @@ class CovarianceState:
         if mean.shape != (2,):
             raise ValueError(f"mean must be a 2-vector, got shape {mean.shape}")
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-9 * scale:
+        if abs(cov[0, 1] - cov[1, 0]) > DEFAULT_TOL * scale:
             raise ValueError("covariance matrix is not symmetric")
         off = 0.5 * (cov[0, 1] + cov[1, 0])
         cov[0, 1] = off
@@ -139,43 +139,6 @@ class CovarianceState:
     def det(self) -> float:
         c = self.cov
         return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticMap:
-    """Linear phase-space map S with S Sigma S^T = Sigma."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"symplectic map must be 2x2, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def residual(self) -> float:
-        """Max-abs deviation of S Sigma S^T from Sigma."""
-        m = self.matrix
-        return float(np.max(np.abs(m @ SYMPLECTIC_FORM @ m.T - SYMPLECTIC_FORM)))
-
-    def is_valid(self, tol: float | None = None) -> bool:
-        tol = default_tol() if tol is None else tol
-        return self.residual() <= tol
-
-    @staticmethod
-    def rotation(phi: float) -> "SymplecticMap":
-        c, s = math.cos(phi), math.sin(phi)
-        return SymplecticMap(np.array([[c, -s], [s, c]]))
-
-    @staticmethod
-    def squeezing(s: float, theta: float = 0.0) -> "SymplecticMap":
-        """Squeeze by degree s = e^{2r} with major axis along ``theta``."""
-        if s <= 0.0:
-            raise ValueError(f"squeezing degree must be positive, got s={s}")
-        rot = SymplecticMap.rotation(theta).matrix
-        core = np.diag([math.sqrt(s), 1.0 / math.sqrt(s)])
-        return SymplecticMap(rot @ core @ rot.T)
 
 
 def covariance_from_params(p: GaussianParams) -> CovarianceState:
@@ -221,32 +184,7 @@ def is_physical(c: CovarianceState, tol: float | None = None) -> bool:
     return a > 0.0 and d > 0.0 and det > 0.0 and det >= 1.0 - tol
 
 
-def apply_symplectic(
-    c: CovarianceState,
-    m: SymplecticMap,
-    displacement=(0.0, 0.0),
-    tol: float | None = None,
-) -> CovarianceState:
-    """Transform ``c`` by the symplectic map plus a phase-space displacement.
-
-    cov' = S cov S^T, mean' = S mean + displacement.  Raises
-    NotSymplecticError when the map violates S Sigma S^T = Sigma.
-    """
-    tol = default_tol() if tol is None else tol
-    if not m.is_valid(tol):
-        raise NotSymplecticError(
-            f"map violates the symplectic condition (residual {m.residual():.3g})"
-        )
-    s = m.matrix
-    cov = s @ c.cov @ s.T
-    mean = s @ c.mean + np.asarray(displacement, dtype=float)
-    out = CovarianceState(cov, mean)
-    if out.det < c.det - max(tol, 1e-12) * max(1.0, c.det):
-        raise NonPhysicalStateError("symplectic transform shrank det(cov)")
-    return out
-
-
-def states_equal(a: GaussianParams, b: GaussianParams, tol: float = 1e-9) -> bool:
+def states_equal(a: GaussianParams, b: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
     """Equality of canonical parameters within ``tol``.
 
     The squeezing direction is compared mod pi and ignored for round states.
@@ -329,17 +267,6 @@ def state_from_dict(data: dict) -> GaussianParams:
             raise StateFormatError(f"invalid 'cov': {exc}", field="cov") from exc
         return params_from_covariance(state)
     raise StateFormatError("state needs either a 'params' or a 'cov' field", field="params")
-
-
-def state_to_dict(p: GaussianParams) -> dict:
-    return {
-        "params": {
-            "gamma": p.gamma,
-            "s": p.s,
-            "theta": p.theta,
-            "alpha": [p.alpha_x, p.alpha_y],
-        }
-    }
 
 
 def load_state(path: str) -> GaussianParams:

@@ -57,11 +57,12 @@ def oracle_check_pair(
     p1: GaussianParams,
     p2: GaussianParams,
     dim: int | None = None,
-    angles=DEFAULT_ANGLES,
     label: str = "pair",
-    tol: float = ORACLE_TOL,
 ) -> OracleCheckRow:
     """Compare fidelity and homodyne overlaps against the Fock oracle.
+
+    Overlaps are compared at the angles ``DEFAULT_ANGLES``; the pair passes
+    when every deviation is within ``ORACLE_TOL``.
 
     The default truncation starts at 150 and is enlarged automatically when
     a state still has weight near the cutoff there; the state needing less
@@ -79,20 +80,17 @@ def oracle_check_pair(
     fid_fock = fidelity_fock(rho1, rho2)
     fid_dev = abs(fid_closed - fid_fock)
     overlap_dev = 0.0
-    for phi in angles:
+    for phi in DEFAULT_ANGLES:
         closed = overlap_at(p1, p2, phi)
         oracle = overlap_fock(rho1, rho2, phi)
         overlap_dev = max(overlap_dev, abs(closed - oracle))
-    passed = fid_dev <= tol and overlap_dev <= tol
+    passed = fid_dev <= ORACLE_TOL and overlap_dev <= ORACLE_TOL
     return OracleCheckRow(
         label, p1, p2, dim, fid_closed, fid_fock, fid_dev, overlap_dev, passed
     )
 
 
-def run_oracle_sweep(
-    dim: int | None = None, angles=DEFAULT_ANGLES, tol: float = ORACLE_TOL
-) -> list[OracleCheckRow]:
+def run_oracle_sweep(dim: int | None = None) -> list[OracleCheckRow]:
     return [
-        oracle_check_pair(p1, p2, dim=dim, angles=angles, label=label, tol=tol)
-        for label, p1, p2 in stratified_pairs()
+        oracle_check_pair(p1, p2, dim=dim, label=label) for label, p1, p2 in stratified_pairs()
     ]

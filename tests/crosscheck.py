@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from gdist.errors import GdistError, MeanMismatchError
-from gdist.fidelity import fidelity_gaussian
+from gdist.errors import GdistError
+from gdist.fidelity import fidelity_params
 from gdist.fock import (
     FockOperator,
     _displacement_eigen,
@@ -31,17 +31,27 @@ from gdist.fock import (
     _phases,
     _squeeze_blocks,
 )
-from gdist.optimality import CONDITION_TOL, PURITY_TOL, thermal_ratio_sum
+from gdist.optimality import thermal_ratio_sum
 from gdist.povm import PovmFamilySpec, _q_moments, _squeeze_matrix
 from gdist.states import (
+    DEFAULT_TOL,
     CovarianceState,
     GaussianParams,
-    SymplecticMap,
-    apply_symplectic,
     covariance_from_params,
     default_tol,
     means_equal,
+    params_from_covariance,
 )
+
+
+class MeanMismatchError(GdistError):
+    """Operation requires equal mean vectors but the inputs differ."""
+
+
+def transform(c: CovarianceState, m: np.ndarray, displacement=(0.0, 0.0)) -> CovarianceState:
+    """The state moved by the phase-space map ``m``: cov' = M cov M^T, mean' = M mean + d."""
+    return CovarianceState(m @ c.cov @ m.T, m @ c.mean + np.asarray(displacement, dtype=float))
+
 
 # ---------------------------------------------------------------------------
 # Fidelity
@@ -81,23 +91,24 @@ def check_fidelity_properties(
     the angle arccos(F).  Returns the violations found (empty on pass).
     """
     if map_ is None:
-        rot = SymplecticMap.rotation(math.pi / 5).matrix
-        sq = SymplecticMap.squeezing(1.7, 0.4).matrix
-        map_ = SymplecticMap(rot @ sq)
+        c, s = math.cos(math.pi / 5), math.sin(math.pi / 5)
+        squeeze = _squeeze_matrix(PovmFamilySpec(0.5 * math.log(1.7), 0.4))
+        map_ = np.array([[c, -s], [s, c]]) @ squeeze
     violations: list[PropertyViolation] = []
     for idx, (sa, sb, sc) in enumerate(triples):
-        fab = fidelity_gaussian(sa, sb).fidelity
-        fba = fidelity_gaussian(sb, sa).fidelity
+        pa, pb, pc = (params_from_covariance(state) for state in (sa, sb, sc))
+        fab = fidelity_params(pa, pb).fidelity
+        fba = fidelity_params(pb, pa).fidelity
         if abs(fab - fba) > symmetry_tol:
             violations.append(PropertyViolation("symmetry", abs(fab - fba), f"triple {idx}"))
-        fbc = fidelity_gaussian(sb, sc).fidelity
-        fac = fidelity_gaussian(sa, sc).fidelity
+        fbc = fidelity_params(pb, pc).fidelity
+        fac = fidelity_params(pa, pc).fidelity
         for val in (fab, fbc, fac):
             if not (0.0 <= val <= 1.0):
                 violations.append(PropertyViolation("range", val, f"triple {idx}"))
-        ta = apply_symplectic(sa, map_, displacement)
-        tb = apply_symplectic(sb, map_, displacement)
-        moved = fidelity_gaussian(ta, tb).fidelity
+        ta = params_from_covariance(transform(sa, map_, displacement))
+        tb = params_from_covariance(transform(sb, map_, displacement))
+        moved = fidelity_params(ta, tb).fidelity
         if abs(moved - fab) > invariance_tol:
             violations.append(PropertyViolation("invariance", abs(moved - fab), f"triple {idx}"))
         angle = math.acos
@@ -299,14 +310,14 @@ def solve_equality_phi(eq: OptimalityEquation) -> list[float]:
     return deduped
 
 
-def check_condition_s1_unity(g1: float, g2: float, s2: float, tol: float = CONDITION_TOL) -> bool:
+def check_condition_s1_unity(g1: float, g2: float, s2: float, tol: float = DEFAULT_TOL) -> bool:
     """Optimality test for a round first state (s1 = 1).
 
     True iff both states are pure, or both are mixed with
     s2 + 1/s2 = thermal_ratio_sum(g1, g2) within the relative tolerance.
     """
-    pure1 = g1 <= 1.0 + PURITY_TOL
-    pure2 = g2 <= 1.0 + PURITY_TOL
+    pure1 = g1 <= 1.0 + tol
+    pure2 = g2 <= 1.0 + tol
     if pure1 and pure2:
         return True
     if pure1 != pure2:

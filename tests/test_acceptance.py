@@ -13,7 +13,6 @@ import numpy as np
 from gdist import (
     GaussianParams,
     fidelity_params,
-    fidelity_same_mean,
     minimize_overlap,
     minimize_overlap_general,
     overlap_at,
@@ -54,7 +53,7 @@ def test_criterion_2_pure_pairs_always_optimal():
         th1, th2 = rng.uniform(0.0, math.pi, 2)
         p1 = GaussianParams(1.0, s1, th1)
         p2 = GaussianParams(1.0, s2, th2)
-        gap = minimize_overlap(p1, p2)[1] - fidelity_same_mean(p1, p2).fidelity
+        gap = minimize_overlap(p1, p2)[1] - fidelity_params(p1, p2).fidelity
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -71,7 +70,7 @@ def test_criterion_3_pure_mixed_strict_gap():
         p2 = GaussianParams(
             rng.uniform(1.1, 6.0), rng.uniform(1.0, 8.0), rng.uniform(0.0, math.pi)
         )
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         gap = minimize_overlap(p1, p2)[1] - fid
         scan_gap = minimize_overlap_scan(p1, p2)[1] - fid
         if gap <= 0.0 or scan_gap <= 0.0:
@@ -95,7 +94,7 @@ def test_criterion_4_equality_only_at_surface():
     offenders = []
     for s2 in grid:
         p2 = GaussianParams(4.0, float(s2), math.pi / 3)
-        gap = minimize_overlap(p1, p2)[1] - fidelity_same_mean(p1, p2).fidelity
+        gap = minimize_overlap(p1, p2)[1] - fidelity_params(p1, p2).fidelity
         if gap < 1e-7 and abs(s2 - 1.4) > step:
             offenders.append((float(s2), gap))
     elapsed = time.perf_counter() - start
@@ -188,7 +187,7 @@ def test_criterion_7_known_closed_values():
 
     p1 = GaussianParams(1.0, 1.0, 0.0)
     p2 = GaussianParams(1.0, 4.0, 0.0)
-    fid = fidelity_same_mean(p1, p2).fidelity
+    fid = fidelity_params(p1, p2).fidelity
     _, val = minimize_overlap(p1, p2)
     target = 2.0 / math.sqrt(5.0)
     ok_squeezed = abs(fid - target) <= 1e-12 and abs(val - target) <= 1e-12

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 import gdist
-from gdist import GaussianParams, fidelity_same_mean, minimize_overlap_general, state_to_dict
+from gdist import GaussianParams, fidelity_params, minimize_overlap_general
 from gdist.cli import Figure, FigureRequest, emit_figure_data, main
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
 
 def write_state(tmp_path, name, params):
     path = tmp_path / name
-    path.write_text(json.dumps(state_to_dict(params)))
+    alpha = [params.alpha_x, params.alpha_y]
+    data = {"gamma": params.gamma, "s": params.s, "theta": params.theta, "alpha": alpha}
+    path.write_text(json.dumps({"params": data}))
     return str(path)
 
 
@@ -118,6 +120,7 @@ class TestOverlapCommands:
         assert float(first[0]) == 0.0
         assert abs(float(first[1]) - 2.0 / math.sqrt(5.0)) < 1e-12
         assert abs(float(first[2]) - 2.0 / math.sqrt(5.0)) < 1e-12
+        assert run_cli(["profile", "--a", vac, "--b", sq, "--steps", "1"]) == (2, "")
 
     def test_min_overlap_methods_agree(self, tmp_path, vac):
         sq = write_state(tmp_path, "sq.json", GaussianParams(1.0, 4.0, 0.3))
@@ -216,7 +219,7 @@ def rowwise_figure_csv(req):
     p1 = GaussianParams(g1, s1, 0.0)
     for s2 in np.linspace(lo, hi, steps):
         p2 = GaussianParams(g2, float(s2), theta_tilde)
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         vals = overlap_grid(p1, p2, phis)
         for phi, val in zip(phis, vals):
             cells = (s2, phi, val, fid, (val - fid) / fid)

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 
 from gdist import (
     GaussianParams,
-    MeanMismatchError,
     covariance_from_params,
-    fidelity_gaussian,
     fidelity_params,
-    fidelity_same_mean,
+    params_from_covariance,
 )
 from gdist.states import states_equal
 
 from conftest import log_uniform, matmul_covariance, random_params
-from crosscheck import check_fidelity_properties, squeeze_mismatch
+from crosscheck import check_fidelity_properties, squeeze_mismatch, transform
+
+
+def covariance_fidelity(a, b):
+    """Fidelity of two covariance-form states, each converted to parameters once."""
+    return fidelity_params(params_from_covariance(a), params_from_covariance(b))
 
 
 def thermal_bhattacharyya(nbar1, nbar2, terms=400):
@@ -33,12 +36,12 @@ class TestFidelityGaussian:
         for _ in range(20):
             p = random_params(rng, mean_scale=2.0)
             c = covariance_from_params(p)
-            assert fidelity_gaussian(c, c).fidelity == 1.0
+            assert covariance_fidelity(c, c).fidelity == 1.0
 
     def test_vacuum_vs_coherent(self):
         vac = covariance_from_params(GaussianParams(1.0))
         coh = covariance_from_params(GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0))
-        rep = fidelity_gaussian(vac, coh)
+        rep = covariance_fidelity(vac, coh)
         assert abs(rep.fidelity - math.exp(-0.5)) < 1e-12
         assert math.isclose(rep.exponent, -0.5)
 
@@ -49,12 +52,12 @@ class TestFidelityGaussian:
             c1 = covariance_from_params(GaussianParams(1.0, 1.0, 0.0, *a))
             c2 = covariance_from_params(GaussianParams(1.0, 1.0, 0.0, *b))
             expected = math.exp(-np.sum((a - b) ** 2) / 2.0)
-            assert abs(fidelity_gaussian(c1, c2).fidelity - expected) < 1e-12
+            assert abs(covariance_fidelity(c1, c2).fidelity - expected) < 1e-12
 
     def test_thermal_pair_against_series_oracle(self):
         c1 = covariance_from_params(GaussianParams(3.0))
         c2 = covariance_from_params(GaussianParams(5.0))
-        rep = fidelity_gaussian(c1, c2)
+        rep = covariance_fidelity(c1, c2)
         oracle = thermal_bhattacharyya(1.0, 2.0)
         assert abs(rep.fidelity - oracle) < 1e-10
         assert abs(rep.fidelity - 0.9659258) < 1e-7
@@ -81,20 +84,20 @@ class TestFidelityGaussian:
 
 class TestFidelitySameMean:
     def test_pure_squeezed_pair(self):
-        rep = fidelity_same_mean(GaussianParams(1.0), GaussianParams(1.0, 4.0, 0.0))
+        rep = fidelity_params(GaussianParams(1.0), GaussianParams(1.0, 4.0, 0.0))
         assert math.isclose(rep.delta_cap, 6.25)
         assert rep.delta_low == 0.0
         assert abs(rep.fidelity - 2.0 / math.sqrt(5.0)) < 1e-15
 
     def test_identical_is_one(self):
         p = GaussianParams(2.0, 2.0, 0.7)
-        assert fidelity_same_mean(p, p).fidelity == 1.0
+        assert fidelity_params(p, p).fidelity == 1.0
 
     def test_tangency_configuration_regression(self):
         # frozen after confirming against the Fock oracle (dim 120, 1e-6)
         p1 = GaussianParams(2.0, 2.0, 0.0)
         p2 = GaussianParams(4.0, 1.4, math.pi / 3)
-        rep = fidelity_same_mean(p1, p2)
+        rep = fidelity_params(p1, p2)
         assert abs(rep.fidelity - 0.8633400213704505) < 1e-12
         assert abs(rep.fidelity - 5.0**0.25 / math.sqrt(3.0)) < 1e-15
 
@@ -102,15 +105,11 @@ class TestFidelitySameMean:
         for _ in range(10_000):
             p1 = random_params(rng, gamma_hi=10.0, s_hi=10.0)
             p2 = random_params(rng, gamma_hi=10.0, s_hi=10.0)
-            direct = fidelity_same_mean(p1, p2).fidelity
-            general = fidelity_gaussian(
+            direct = fidelity_params(p1, p2).fidelity
+            general = covariance_fidelity(
                 covariance_from_params(p1), covariance_from_params(p2)
             ).fidelity
             assert abs(direct - general) < 1e-12
-
-    def test_rejects_mean_mismatch(self):
-        with pytest.raises(MeanMismatchError):
-            fidelity_same_mean(GaussianParams(1.0), GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0))
 
 
 class TestSqueezeMismatch:
@@ -139,19 +138,17 @@ class TestFidelityProperties:
     def test_symmetry_tight(self, rng):
         p1 = covariance_from_params(random_params(rng, mean_scale=1.0))
         p2 = covariance_from_params(random_params(rng, mean_scale=1.0))
-        assert abs(fidelity_gaussian(p1, p2).fidelity - fidelity_gaussian(p2, p1).fidelity) < 1e-14
+        f12, f21 = covariance_fidelity(p1, p2).fidelity, covariance_fidelity(p2, p1).fidelity
+        assert abs(f12 - f21) < 1e-14
 
     def test_shared_rotation_invariance(self, rng):
-        from gdist import SymplecticMap, apply_symplectic
-
-        rot = SymplecticMap.rotation(math.pi / 5)
+        c, s = math.cos(math.pi / 5), math.sin(math.pi / 5)
+        rot = np.array([[c, -s], [s, c]])
         for _ in range(50):
             c1 = covariance_from_params(random_params(rng, mean_scale=1.5))
             c2 = covariance_from_params(random_params(rng, mean_scale=1.5))
-            before = fidelity_gaussian(c1, c2).fidelity
-            after = fidelity_gaussian(
-                apply_symplectic(c1, rot), apply_symplectic(c2, rot)
-            ).fidelity
+            before = covariance_fidelity(c1, c2).fidelity
+            after = covariance_fidelity(transform(c1, rot), transform(c2, rot)).fidelity
             assert abs(before - after) < 1e-12
 
     def test_triangle_inequality_random(self, rng):
@@ -160,9 +157,9 @@ class TestFidelityProperties:
                 covariance_from_params(random_params(rng, mean_scale=1.0))
                 for _ in range(3)
             )
-            f_ab = fidelity_gaussian(a, b).fidelity
-            f_bc = fidelity_gaussian(b, c).fidelity
-            f_ac = fidelity_gaussian(a, c).fidelity
+            f_ab = covariance_fidelity(a, b).fidelity
+            f_bc = covariance_fidelity(b, c).fidelity
+            f_ac = covariance_fidelity(a, c).fidelity
             assert math.acos(f_ac) <= math.acos(f_ab) + math.acos(f_bc) + 1e-10
 
 

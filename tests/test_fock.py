@@ -12,10 +12,8 @@ from gdist import (
     TruncationError,
     auto_state,
     build_state,
-    choose_dim,
     fidelity_fock,
     fidelity_params,
-    fidelity_same_mean,
     marginal_fock,
     overlap_at,
     overlap_fock,
@@ -73,8 +71,7 @@ class TestStateCache:
         ):
             op = auto_state(p)
             assert op is auto_state(p)
-            assert op.dim == choose_dim(p)
-            fresh = fock._build_fixed(p, choose_dim(p))
+            fresh = fock._build_fixed(p, op.dim)
             assert np.array_equal(op.matrix, fresh.matrix)
 
     def test_cache_bounded_across_sweep(self):
@@ -84,7 +81,7 @@ class TestStateCache:
                 GaussianParams(rng.uniform(1, 1.5), rng.uniform(1, 1.5), rng.uniform(0, 3))
                 for _ in range(2)
             )
-            oracle_check_pair(p1, p2, dim=24, angles=(0.0,))
+            oracle_check_pair(p1, p2, dim=24)
             count, size = state_cache_info()
             assert count <= fock.MAX_CACHED_STATES
             assert size <= fock.MAX_CACHED_BYTES
@@ -141,8 +138,8 @@ class TestBuildState:
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_auto_dim_grows_for_hot_states(self):
-        assert choose_dim(GaussianParams(1.0)) <= 32
-        assert choose_dim(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0)) >= 150
+        assert auto_state(GaussianParams(1.0)).dim <= 32
+        assert auto_state(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0)).dim >= 150
 
 
 class TestFidelityFock:
@@ -185,7 +182,7 @@ class TestFidelityFock:
     def test_tangency_configuration(self):
         a = build_state(GaussianParams(2.0, 2.0, 0.0), 120)
         b = build_state(GaussianParams(4.0, 1.4, math.pi / 3), 120)
-        closed = fidelity_same_mean(
+        closed = fidelity_params(
             GaussianParams(2.0, 2.0, 0.0), GaussianParams(4.0, 1.4, math.pi / 3)
         ).fidelity
         assert abs(fidelity_fock(a, b) - closed) < 1e-6

@@ -7,15 +7,20 @@ from scipy.integrate import quad
 
 from gdist import (
     GaussianParams,
-    MeanMismatchError,
     fidelity_params,
+    minimize_overlap,
     overlap_at,
-    overlap_profile,
 )
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
 from conftest import quadrature_overlap, random_params
-from crosscheck import b_ratio, marginal, overlap_from_ratio, overlap_same_mean
+from crosscheck import (
+    MeanMismatchError,
+    b_ratio,
+    marginal,
+    overlap_from_ratio,
+    overlap_same_mean,
+)
 
 
 class TestMarginal:
@@ -251,12 +256,13 @@ class TestOverlapProfile:
     def test_profile_structure(self, rng):
         p1 = random_params(rng, mean_scale=1.0)
         p2 = random_params(rng, mean_scale=1.0)
-        prof = overlap_profile(p1, p2, steps=360)
-        assert prof.samples.shape == (360, 2)
-        assert np.all(prof.samples[:, 1] > 0.0)
-        assert np.all(prof.samples[:, 1] <= 1.0 + 1e-14)
-        assert prof.min_overlap >= prof.fidelity_ref - 1e-9
-        assert prof.min_overlap <= np.min(prof.samples[:, 1]) + 1e-12
+        vals = overlap_grid(p1, p2, np.linspace(0.0, math.pi, 360, endpoint=False))
+        _, min_overlap = minimize_overlap(p1, p2)
+        assert vals.shape == (360,)
+        assert np.all(vals > 0.0)
+        assert np.all(vals <= 1.0 + 1e-14)
+        assert min_overlap >= fidelity_params(p1, p2).fidelity - 1e-9
+        assert min_overlap <= np.min(vals) + 1e-12
 
     def test_scan_matches_vectorized_grid(self, rng):
         p1 = random_params(rng)

@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 import gdist
 from gdist import (
     GaussianParams,
-    MeanMismatchError,
     UnsupportedPairError,
-    check_different_mean_symmetric,
     classify_pair,
     fidelity_params,
-    fidelity_same_mean,
     minimize_overlap,
     minimize_overlap_general,
     overlap_at,
@@ -31,6 +28,7 @@ from gdist.optimality import PairClass, _critical_angles
 from conftest import log_uniform, matmul_covariance, random_params
 from crosscheck import (
     DegenerateFidelityError,
+    MeanMismatchError,
     b_ratio,
     build_equality_equation,
     check_condition_s1_unity,
@@ -39,6 +37,15 @@ from crosscheck import (
     solve_harmonic,
     squeeze_mismatch,
 )
+
+
+#: Classes whose minimal overlap attains the fidelity.
+OPTIMAL_KINDS = {
+    PairClass.PURE_PURE_ALWAYS_OPTIMAL,
+    PairClass.MIXED_MIXED_OPTIMAL,
+    PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL,
+    PairClass.IDENTICAL_STATES,
+}
 
 
 def random_same_mean_pair(rng, gamma_hi=6.0, s_hi=8.0):
@@ -155,7 +162,7 @@ class TestMinimizeOverlap:
         p2 = GaussianParams(4.0, 2.0, math.pi / 3)
         phi_min, val = minimize_overlap(p1, p2)
         assert abs(val - 0.7110876974247113) < 1e-12
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         assert val - fid > 0.1  # strictly not optimal
 
     def test_argmin_attains_value(self, rng):
@@ -317,7 +324,7 @@ class TestEqualityEquation:
         # F^2 = 0.8: targets (1.25 +- 0.75)^2 = {4, 0.25}, angles {0, pi/2}
         p1 = GaussianParams(1.0, 1.0, 0.0)
         p2 = GaussianParams(1.0, 4.0, 0.0)
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         assert math.isclose(fid * fid, 0.8)
         eq = build_equality_equation(p1, p2, fid)
         targets = sorted((eq.branch_plus.target_ratio, eq.branch_minus.target_ratio))
@@ -331,7 +338,7 @@ class TestEqualityEquation:
     def test_upsilon_product_identity(self, rng):
         for _ in range(50):
             p1, p2 = random_same_mean_pair(rng)
-            fid = fidelity_same_mean(p1, p2).fidelity
+            fid = fidelity_params(p1, p2).fidelity
             if fid >= 1.0 - 1e-9:
                 continue
             eq = build_equality_equation(p1, p2, fid)
@@ -351,7 +358,7 @@ class TestEqualityEquation:
         p1 = GaussianParams(1.0, 2.0, 0.0)
         for s2 in (1.1, 2.0, 3.0):
             p2 = GaussianParams(4.0, s2, math.pi / 3)
-            fid = fidelity_same_mean(p1, p2).fidelity
+            fid = fidelity_params(p1, p2).fidelity
             eq = build_equality_equation(p1, p2, fid)
             assert eq.branch_plus.discriminant < 0.0
             assert eq.branch_minus.discriminant < 0.0
@@ -364,7 +371,7 @@ class TestEqualityEquation:
             p2 = random_params(rng, gamma_hi=5.0, s_hi=5.0)
             if p1.is_pure() or p2.is_pure():
                 continue
-            fid = fidelity_same_mean(p1, p2).fidelity
+            fid = fidelity_params(p1, p2).fidelity
             if fid >= 1.0 - 1e-9:
                 continue
             eq = build_equality_equation(p1, p2, fid)
@@ -397,7 +404,7 @@ class TestEqualityEquation:
                 )
         checked = 0
         for p1, p2 in pairs:
-            fid = fidelity_same_mean(p1, p2).fidelity
+            fid = fidelity_params(p1, p2).fidelity
             if fid >= 1.0 - 1e-9:
                 continue
             eq = build_equality_equation(p1, p2, fid)
@@ -442,7 +449,7 @@ class TestFig4Tangency:
     def test_single_double_root(self):
         p1 = GaussianParams(2.0, 2.0, 0.0)
         p2 = GaussianParams(4.0, 1.4, math.pi / 3)
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         eq = build_equality_equation(p1, p2, fid)
         roots = solve_equality_phi(eq)
         assert len(roots) == 1
@@ -454,7 +461,7 @@ class TestFig4Tangency:
         # the solvable branch sits exactly on the boundary Y = 2.5
         p1 = GaussianParams(2.0, 2.0, 0.0)
         p2 = GaussianParams(4.0, 1.4, math.pi / 3)
-        fid = fidelity_same_mean(p1, p2).fidelity
+        fid = fidelity_params(p1, p2).fidelity
         eq = build_equality_equation(p1, p2, fid)
         ys = sorted((eq.upsilon_plus, eq.upsilon_minus))
         assert math.isclose(ys[1], 2.5, rel_tol=1e-9)
@@ -679,8 +686,8 @@ class TestCheckConditionGeneral:
         for p1, p2 in pairs:
             verdict = classify_pair(p1, p2)
             _, scan_val = minimize_overlap_scan(p1, p2)
-            scan_gap = scan_val - fidelity_same_mean(p1, p2).fidelity
-            assert verdict.kind.is_optimal == (scan_gap <= 1e-7), (p1, p2, scan_gap)
+            scan_gap = scan_val - fidelity_params(p1, p2).fidelity
+            assert (verdict.kind in OPTIMAL_KINDS) == (scan_gap <= 1e-7), (p1, p2, scan_gap)
 
     def test_witness_present_iff_optimal(self, rng):
         pairs = [random_same_mean_pair(rng, gamma_hi=4.0, s_hi=4.0) for _ in range(40)]
@@ -688,10 +695,10 @@ class TestCheckConditionGeneral:
         pairs.append((GaussianParams(2.0, 2.0, 0.0), GaussianParams(4.0, 1.4, math.pi / 3)))
         for p1, p2 in pairs:
             v = classify_pair(p1, p2)
-            assert (v.witness_phi is not None) == v.kind.is_optimal
+            assert (v.witness_phi is not None) == (v.kind in OPTIMAL_KINDS)
             assert v.gap >= -1e-9
             if v.witness_phi is not None and v.kind is not PairClass.IDENTICAL_STATES:
-                fid = fidelity_same_mean(p1, p2).fidelity
+                fid = fidelity_params(p1, p2).fidelity
                 assert abs(overlap_at(p1, p2, v.witness_phi) - fid) <= 1e-8
 
     def test_pure_mixed_gap_shrinks_toward_purity(self):
@@ -749,26 +756,73 @@ class TestSolveS2:
         with pytest.raises(ValueError):
             solve_s2_for_optimality(2.0, 3.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("s1", [1e2, 1e4, 1e6])
+    def test_strong_squeezing_roots_exact(self, s1):
+        # T = 2.9 for gammas (2, 4); at theta_tilde = 0 the roots are s1 (2.9 +- 2.1) / 2
+        roots = solve_s2_for_optimality(2.0, 4.0, s1, 0.0)
+        assert [root.theta_tilde for root in roots] == [0.0, 0.0]
+        assert math.isclose(roots[0].s2, 2.5 * s1, rel_tol=1e-14)
+        assert math.isclose(roots[1].s2, 0.4 * s1, rel_tol=1e-14)
+
+
+def scan_phi_below_zero(monkeypatch):
+    """The scan's angle when its bounded search around phi = 0 stops a hair below 0."""
+    import scipy.optimize
+
+    # a value below every grid value, so the scan keeps the refined angle
+    result = scipy.optimize.OptimizeResult(x=-1e-17, fun=0.0)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *args, **kwargs: result)
+    p1, p2 = GaussianParams(2.0, 1.2, 0.0), GaussianParams(1.5, 2.0, math.pi / 2)
+    return minimize_overlap_scan(p1, p2)[0]
+
+
+ANGLE_ROUTES = {
+    "same-mean minimizer": lambda _: minimize_overlap(
+        GaussianParams(2.0, 1.2, 0.0), GaussianParams(1.5, 2.0, math.pi / 2)
+    )[0],
+    "round-pair witness": lambda _: classify_pair(
+        GaussianParams(2.0), GaussianParams(2.0, alpha_x=1.0, alpha_y=-1e-17)
+    ).witness_phi,
+    "s2 root": lambda _: solve_s2_for_optimality(2.0, 4.0, 2.0, -1e-17)[0].theta_tilde,
+    "canonicalized s2 root": lambda _: solve_s2_for_optimality(
+        2.0, 4.0, 2.0, math.nextafter(-math.pi / 2, -math.inf)
+    )[1].theta_tilde,
+    "scan": scan_phi_below_zero,
+}
+
+
+@pytest.mark.parametrize("route", ANGLE_ROUTES)
+def test_reported_angle_in_half_open_period(route, monkeypatch):
+    # each route reduces an angle a hair below 0 (or below -pi/2 before the
+    # quarter turn); x % pi rounds such an angle up to pi itself
+    angle = ANGLE_ROUTES[route](monkeypatch)
+    assert 0.0 <= angle < math.pi
+
+
+def round_pair(g1, g2, beta):
+    """Round states of thermal widths g1 and g2 whose means differ by ``beta``."""
+    return GaussianParams(g1), GaussianParams(g2, alpha_x=beta[0], alpha_y=beta[1])
+
 
 class TestDifferentMeanSymmetric:
     def test_coherent_pair_optimal(self):
-        v = check_different_mean_symmetric(1.0, 1.0, (1.0, 1.0))
+        v = classify_pair(*round_pair(1.0, 1.0, (1.0, 1.0)))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
         assert abs(v.gap) <= 1e-8
         assert abs(v.witness_phi - math.pi / 4) < 1e-9
 
     def test_equal_mixed_widths_optimal(self):
-        v = check_different_mean_symmetric(3.0, 3.0, (2.0, 0.0))
+        v = classify_pair(*round_pair(3.0, 3.0, (2.0, 0.0)))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
         assert abs(v.gap) <= 1e-8
 
     def test_unequal_widths_not_optimal(self):
-        v = check_different_mean_symmetric(1.0, 3.0, (1.0, 0.0))
+        v = classify_pair(*round_pair(1.0, 3.0, (1.0, 0.0)))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL
         assert v.gap > 1e-4
 
     def test_zero_offset_delegates(self):
-        v = check_different_mean_symmetric(2.0, 2.0, (0.0, 0.0))
+        v = classify_pair(*round_pair(2.0, 2.0, (0.0, 0.0)))
         assert v.kind is PairClass.IDENTICAL_STATES
 
 
@@ -785,6 +839,8 @@ class TestClassifyPair:
         # s = 1 + 1e-13 is round within the tolerance of means_equal
         v = classify_pair(GaussianParams(2.0, 1.0 + 1e-13), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
+        round_gap = classify_pair(GaussianParams(2.0), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0)).gap
+        assert v.gap == round_gap  # evaluated on the exactly round pair
         p1 = GaussianParams(2.0, 1.0, 0.0, 0.3, 0.0)
         v = classify_pair(p1, GaussianParams(3.0, 1.0 + 1e-13, 0.2))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL
@@ -792,6 +848,12 @@ class TestClassifyPair:
     def test_squeezed_different_mean_rejected(self):
         with pytest.raises(UnsupportedPairError):
             classify_pair(GaussianParams(1.0, 2.0, 0.0), GaussianParams(1.0, 2.0, 0.0, 1.0, 0.0))
+
+    def test_tolerance_override_governs_purity(self, monkeypatch):
+        # GDIST_TOL decides every gate of a verdict, purity included
+        monkeypatch.setenv("GDIST_TOL", "1e-6")
+        v = classify_pair(GaussianParams(1.0 + 5e-7), GaussianParams(1.0 + 5e-7, 2.0, 0.3))
+        assert v.kind is PairClass.PURE_PURE_ALWAYS_OPTIMAL
 
 
 def numpy_extreme_angle(p1, p2, mu):

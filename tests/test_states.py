@@ -9,15 +9,11 @@ from gdist import (
     CovarianceState,
     GaussianParams,
     NonPhysicalStateError,
-    NotSymplecticError,
     StateFormatError,
-    SymplecticMap,
-    apply_symplectic,
     covariance_from_params,
     is_physical,
     params_from_covariance,
     state_from_dict,
-    state_to_dict,
 )
 from gdist.states import load_state, states_equal
 
@@ -128,45 +124,6 @@ class TestIsPhysical:
         assert not is_physical(c, tol=1e-12)
 
 
-class TestApplySymplectic:
-    def test_identity_map(self):
-        c = covariance_from_params(GaussianParams(2.0, 3.0, 0.4, 0.5, 0.6))
-        out = apply_symplectic(c, SymplecticMap(np.eye(2)))
-        assert np.allclose(out.cov, c.cov) and np.allclose(out.mean, c.mean)
-
-    def test_quarter_rotation_swaps_axes(self):
-        c = CovarianceState(np.diag([4.0, 0.25]))
-        out = apply_symplectic(c, SymplecticMap.rotation(math.pi / 2))
-        assert np.allclose(out.cov, np.diag([0.25, 4.0]), atol=1e-15)
-
-    def test_squeeze_map_on_vacuum(self):
-        m = SymplecticMap(np.diag([math.sqrt(2.0), 1.0 / math.sqrt(2.0)]))
-        out = apply_symplectic(CovarianceState(np.eye(2)), m)
-        ref = covariance_from_params(GaussianParams(1.0, 2.0, 0.0))
-        assert np.allclose(out.cov, ref.cov)
-
-    def test_displacement_moves_mean(self):
-        out = apply_symplectic(
-            CovarianceState(np.eye(2)), SymplecticMap.rotation(0.0), (1.5, -0.5)
-        )
-        assert np.allclose(out.mean, [1.5, -0.5])
-
-    def test_rejects_non_symplectic(self):
-        with pytest.raises(NotSymplecticError):
-            apply_symplectic(CovarianceState(np.eye(2)), SymplecticMap(2.0 * np.eye(2)))
-
-    def test_det_preserved_random(self, rng):
-        for _ in range(50):
-            p = random_params(rng, mean_scale=1.0)
-            c = covariance_from_params(p)
-            m = SymplecticMap(
-                SymplecticMap.rotation(rng.uniform(0, math.pi)).matrix
-                @ SymplecticMap.squeezing(rng.uniform(1, 5), rng.uniform(0, math.pi)).matrix
-            )
-            out = apply_symplectic(c, m, rng.uniform(-1, 1, 2))
-            assert math.isclose(out.det, c.det, rel_tol=1e-10)
-
-
 class TestCharacteristicFn:
     def test_normalization_at_origin(self, rng):
         for _ in range(20):
@@ -259,7 +216,8 @@ class TestJsonSchema:
 
     def test_round_trip(self):
         p = GaussianParams(2.5, 1.7, 0.9, -0.4, 0.2)
-        assert state_from_dict(state_to_dict(p)) == p
+        params = {"gamma": p.gamma, "s": p.s, "theta": p.theta, "alpha": [p.alpha_x, p.alpha_y]}
+        assert state_from_dict(json.loads(json.dumps({"params": params}))) == p
 
     def test_missing_field_named(self):
         with pytest.raises(StateFormatError) as err:
@@ -278,7 +236,7 @@ class TestJsonSchema:
 
     def test_load_state_file(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(state_to_dict(GaussianParams(1.5, 2.0, 0.1))))
+        path.write_text(json.dumps({"params": {"gamma": 1.5, "s": 2.0, "theta": 0.1}}))
         assert load_state(str(path)).gamma == 1.5
 
     def test_load_malformed_json(self, tmp_path):
