@@ -43,7 +43,6 @@ from .optimality import (
 )
 from .povm import (
     ConjectureScan,
-    PovmFamilySpec,
     conjecture_scan,
     povm_overlap,
 )

@@ -13,8 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,48 +31,33 @@ from .states import GaussianParams, load_state
 from .validation import oracle_check_pair, run_oracle_sweep
 
 
-class Figure(Enum):
-    FIG2 = "fig2"
-    FIG3 = "fig3"
-    FIG4 = "fig4"
-
-
-#: Fixed parameters (gamma1, gamma2, s1, theta_tilde) of each figure sweep.
-FIGURE_FIXED = {
-    Figure.FIG2: (1.0, 1.0, 2.0, math.pi / 3),
-    Figure.FIG3: (1.0, 4.0, 2.0, math.pi / 3),
-    Figure.FIG4: (2.0, 4.0, 2.0, math.pi / 3),
+#: Fixed parameters (gamma1, gamma2, s1, theta_tilde) of each figure sweep, by --which.
+FIGURES = {
+    "fig2": (1.0, 1.0, 2.0, math.pi / 3),
+    "fig3": (1.0, 4.0, 2.0, math.pi / 3),
+    "fig4": (2.0, 4.0, 2.0, math.pi / 3),
 }
-
-
-@dataclass(frozen=True)
-class FigureRequest:
-    which: Figure
-    s2_range: tuple[float, float, int] = (1.0, 5.0, 200)
-    phi_steps: int = 720
-
-    @property
-    def fixed(self) -> tuple[float, float, float, float]:
-        return FIGURE_FIXED[self.which]
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_figure_data(req: FigureRequest, stream=None) -> None:
+def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -> None:
     """Write the figure surface as CSV: s2, phi, I_phi, F, norm_diff.
+
+    ``which`` keys ``FIGURES``; ``s2_range`` is (lo, hi, steps) of the s2 axis.
 
     norm_diff is the fractional excess (I_phi - F) / F; the surface touches
     zero exactly where homodyne detection attains the fidelity.
     """
     stream = sys.stdout if stream is None else stream
-    g1, g2, s1, theta_tilde = req.fixed
-    lo, hi, steps = req.s2_range
-    if steps < 2 or req.phi_steps < 2:
+    g1, g2, s1, theta_tilde = FIGURES[which]
+    lo, hi, steps = s2_range
+    if steps < 2 or phi_steps < 2:
         raise ValueError("figure sweep needs at least 2 steps on each axis")
     stream.write("s2,phi,I_phi,F,norm_diff\n")
-    phis = np.linspace(0.0, math.pi, req.phi_steps, endpoint=False)
+    phis = np.linspace(0.0, math.pi, phi_steps, endpoint=False)
     phi_strs = [repr(phi) for phi in phis.tolist()]
     p1 = GaussianParams(g1, s1, 0.0)
     for s2 in np.linspace(lo, hi, steps).tolist():
@@ -189,12 +172,7 @@ def _cmd_solve_s2(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    req = FigureRequest(
-        Figure(args.which),
-        s2_range=(args.s2_min, args.s2_max, args.s2_steps),
-        phi_steps=args.phi_steps,
-    )
-    emit_figure_data(req)
+    emit_figure_data(args.which, (args.s2_min, args.s2_max, args.s2_steps), args.phi_steps)
     return 0
 
 
@@ -325,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_s2)
 
     p = sub.add_parser("figure", help="CSV surface data for the reference figures")
-    p.add_argument("--which", choices=[f.value for f in Figure], required=True)
+    p.add_argument("--which", choices=list(FIGURES), required=True)
     p.add_argument("--s2-min", type=float, default=1.0)
     p.add_argument("--s2-max", type=float, default=5.0)
     p.add_argument("--s2-steps", type=int, default=200)

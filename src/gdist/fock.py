@@ -225,16 +225,13 @@ def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
         d = min(2 * d, MAX_AUTO_DIM)
 
 
-def build_state(p: GaussianParams, dim: int | None = None) -> FockOperator:
-    """Density matrix of a displaced squeezed thermal state.
+def build_state(p: GaussianParams, dim: int) -> FockOperator:
+    """Density matrix of a displaced squeezed thermal state at truncation ``dim``.
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
-    D, S exponentials of the truncated generators.  With ``dim=None`` the
-    truncation is grown automatically (see ``auto_state``); an explicit
-    ``dim`` raises TruncationError when leakage exceeds 1e-6.
+    D, S exponentials of the truncated generators.  Raises TruncationError
+    when leakage exceeds 1e-6; ``auto_state`` grows the truncation instead.
     """
-    if dim is None:
-        return auto_state(p)
     op = _state_at(p, dim)
     if op.leakage > LEAKAGE_TOL:
         raise TruncationError(
@@ -278,7 +275,7 @@ def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
     the fidelity is the trace norm of L1^dag L2: the sum of its singular
     values, which roundoff moves by eps rather than by sqrt(eps) as it does
     the eigenvalues of the sandwich product.  Operators of different
-    truncations (``build_state`` picks one per state) compare in the larger
+    truncations (``auto_state`` picks one per state) compare in the larger
     space, where the smaller factor has zero rows past its dim, so only the
     first min(dim) rows of each factor enter.
     """
@@ -325,20 +322,17 @@ def quadrature_moments(a: FockOperator, phi: float) -> tuple[float, float]:
 
 
 def marginal_fock(
-    a: FockOperator, phi: float, grid: np.ndarray, wavefunctions: np.ndarray | None = None
+    a: FockOperator, phi: float, grid: np.ndarray, wavefunctions: np.ndarray
 ) -> np.ndarray:
     """Homodyne outcome density on ``grid`` from the number-basis state.
 
     p(x) = sum_mn rho_mn e^{-i(m-n)phi} psi_m(x) psi_n(x) with psi_n the
-    quadrature wavefunctions (``quadrature_wavefunctions``; pass a table with
-    at least ``a.dim`` rows to reuse one).  The psi_n are real and the
+    quadrature wavefunctions on ``grid`` (``quadrature_wavefunctions``, a
+    table of at least ``a.dim`` rows).  The psi_n are real and the
     imaginary part of the rotated rho is antisymmetric, so only its real
     part enters, through one real matrix product.  Raises TruncationError
     when the grid mass falls short of 1 by more than 1e-5.
     """
-    grid = np.asarray(grid, dtype=float)
-    if wavefunctions is None:
-        wavefunctions = quadrature_wavefunctions(a.dim, grid)
     h = wavefunctions[: a.dim]
     rho_rot = (_phases(-phi, a.dim) * a.matrix).real
     density = np.einsum("mk,mk->k", h, rho_rot @ h)

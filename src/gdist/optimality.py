@@ -175,7 +175,7 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     different means go to ``minimize_overlap_general``.  Returns
     (phi_min, overlap_min).
     """
-    if not means_equal(p1, p2):
+    if not means_equal(p1, p2, default_tol()):
         return minimize_overlap_general(p1, p2)
     return _minimize_same_mean(p1, p2)
 

@@ -4,7 +4,10 @@ A state is either a five-parameter description ``{gamma, s, theta, alpha_x,
 alpha_y}`` (thermal width, squeezing degree, squeezing direction, mean
 amplitude) or a 2x2 covariance matrix plus mean vector.  The normalization is
 fixed so the vacuum has covariance equal to the identity and the quadrature
-X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.
+X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.  Helpers
+take the tolerance as an argument; only ``params_from_covariance`` here and
+``classify_pair``, ``minimize_overlap`` and ``solve_s2_for_optimality`` read
+it, from ``default_tol`` (GDIST_TOL, a finite float > 0).
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ DEFAULT_TOL = 1e-9
 
 
 def default_tol() -> float:
-    """Default numerical tolerance; overridable via the GDIST_TOL env var."""
+    """Default numerical tolerance; GDIST_TOL, a finite float > 0, overrides it."""
     env = os.environ.get("GDIST_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise StateFormatError(f"GDIST_TOL is not a float: {env!r}") from exc
-    return DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise StateFormatError(f"GDIST_TOL must be a finite float > 0, got {env!r}")
+    return tol
 
 
 def wrap_angle(theta: float) -> float:
@@ -106,8 +112,7 @@ class GaussianParams:
     def mean(self) -> np.ndarray:
         return np.array([self.alpha_x, self.alpha_y])
 
-    def is_pure(self, tol: float | None = None) -> bool:
-        tol = default_tol() if tol is None else tol
+    def is_pure(self, tol: float) -> bool:
         return self.gamma <= 1.0 + tol
 
 @dataclass(frozen=True, eq=False)
@@ -153,38 +158,37 @@ def covariance_from_params(p: GaussianParams) -> CovarianceState:
     return CovarianceState(cov, p.mean)
 
 
-def params_from_covariance(c: CovarianceState, tol: float | None = None) -> GaussianParams:
+def params_from_covariance(c: CovarianceState) -> GaussianParams:
     """Recover the canonical parameters from a covariance state.
 
     gamma = sqrt(det), s = lambda_max / gamma, theta from the major-axis
-    eigenvector.  Raises NonPhysicalStateError when det < 1 - tol.  A
-    degenerate (round) covariance reports s = 1, theta = 0.
+    eigenvector.  Raises NonPhysicalStateError when det < 1 - ``default_tol()``;
+    a det within that below 1 is pure, gamma = 1, which ``GaussianParams`` alone
+    rejects below 1 - DEFAULT_TOL.  A round covariance reports s = 1, theta = 0.
     """
-    tol = default_tol() if tol is None else tol
-    if not is_physical(c, tol):
+    if not is_physical(c, default_tol()):
         raise NonPhysicalStateError(
             f"covariance is not a physical state (det={c.det:.6g}, needs >= 1)"
         )
     a, b, d = c.cov[0, 0], c.cov[0, 1], c.cov[1, 1]
-    det = c.det
-    gamma = math.sqrt(det)
+    gamma = math.sqrt(c.det)
     half_span = math.hypot(0.5 * (a - d), b)
     lam_max = 0.5 * (a + d) + half_span
     if 2.0 * half_span <= 1e-12 * lam_max:
-        return GaussianParams(gamma, 1.0, 0.0, c.mean[0], c.mean[1])
-    theta = 0.5 * math.atan2(2.0 * b, a - d)
-    return GaussianParams(gamma, lam_max / gamma, theta, c.mean[0], c.mean[1])
+        s, theta = 1.0, 0.0
+    else:
+        s, theta = lam_max / gamma, 0.5 * math.atan2(2.0 * b, a - d)
+    return GaussianParams(max(gamma, 1.0), s, theta, c.mean[0], c.mean[1])
 
 
-def is_physical(c: CovarianceState, tol: float | None = None) -> bool:
+def is_physical(c: CovarianceState, tol: float) -> bool:
     """True iff cov is positive-definite with det >= 1 - tol."""
-    tol = default_tol() if tol is None else tol
     a, d = c.cov[0, 0], c.cov[1, 1]
     det = c.det
     return a > 0.0 and d > 0.0 and det > 0.0 and det >= 1.0 - tol
 
 
-def states_equal(a: GaussianParams, b: GaussianParams, tol: float = DEFAULT_TOL) -> bool:
+def states_equal(a: GaussianParams, b: GaussianParams, tol: float) -> bool:
     """Equality of canonical parameters within ``tol``.
 
     The squeezing direction is compared mod pi and ignored for round states.
@@ -199,8 +203,7 @@ def states_equal(a: GaussianParams, b: GaussianParams, tol: float = DEFAULT_TOL)
     return min(dth, math.pi - dth) <= tol
 
 
-def means_equal(a: GaussianParams, b: GaussianParams, tol: float | None = None) -> bool:
-    tol = default_tol() if tol is None else tol
+def means_equal(a: GaussianParams, b: GaussianParams, tol: float) -> bool:
     return abs(a.alpha_x - b.alpha_x) <= tol and abs(a.alpha_y - b.alpha_y) <= tol
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from gdist.fock import (
     _squeeze_blocks,
 )
 from gdist.optimality import thermal_ratio_sum
-from gdist.povm import PovmFamilySpec, _q_moments, _squeeze_matrix
+from gdist.povm import _q_moments, _squeeze_matrix
 from gdist.states import (
     DEFAULT_TOL,
     CovarianceState,
@@ -92,7 +91,7 @@ def check_fidelity_properties(
     """
     if map_ is None:
         c, s = math.cos(math.pi / 5), math.sin(math.pi / 5)
-        squeeze = _squeeze_matrix(PovmFamilySpec(0.5 * math.log(1.7), 0.4))
+        squeeze = _squeeze_matrix(0.5 * math.log(1.7), 0.4)
         map_ = np.array([[c, -s], [s, c]]) @ squeeze
     violations: list[PropertyViolation] = []
     for idx, (sa, sb, sc) in enumerate(triples):
@@ -409,18 +408,6 @@ def husimi_fock(a: FockOperator, alpha: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-class PovmKind(Enum):
-    HETERODYNE = "Heterodyne"
-    SQUEEZED = "Squeezed"
-    HOMODYNE_LIMIT = "HomodyneLimit"
-
-
-def povm_kind(spec: PovmFamilySpec) -> PovmKind:
-    if spec.homodyne_limit:
-        return PovmKind.HOMODYNE_LIMIT
-    return PovmKind.HETERODYNE if spec.r == 0.0 else PovmKind.SQUEEZED
-
-
 @dataclass(frozen=True, eq=False)
 class QDistribution:
     """2-D Gaussian outcome distribution over the alpha plane."""
@@ -439,13 +426,11 @@ class QDistribution:
         return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
-def povm_distribution(p: GaussianParams, spec: PovmFamilySpec) -> QDistribution:
-    """Outcome distribution of the measurement on state ``p``.
+def povm_distribution(p: GaussianParams, r: float, theta_u: float) -> QDistribution:
+    """Outcome distribution on state ``p`` of the member squeezing by e^{2r} along theta_u.
 
     The squeeze maps the covariance to M C M^T; projecting onto coherent
     states then adds one vacuum unit, giving Q-covariance (M C M^T + I)/4
     and mean M m.  For r = 0 this is the plain Husimi Q of the state.
     """
-    if spec.homodyne_limit:
-        raise ValueError("homodyne-limit member has no 2-D outcome distribution")
-    return QDistribution(*_q_moments(covariance_from_params(p), _squeeze_matrix(spec)))
+    return QDistribution(*_q_moments(covariance_from_params(p), _squeeze_matrix(r, theta_u)))

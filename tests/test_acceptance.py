@@ -20,7 +20,6 @@ from gdist import (
     solve_s2_for_optimality,
 )
 from gdist.homodyne import minimize_overlap_scan
-from gdist.povm import PovmFamilySpec
 from gdist.validation import run_oracle_sweep
 
 from conftest import quadrature_overlap
@@ -157,8 +156,8 @@ def test_criterion_6_fuchs_caves_bound():
         )
         fid = fidelity_params(p1, p2).fidelity
         for _ in range(5):
-            spec = PovmFamilySpec(rng.uniform(0.0, 5.0), rng.uniform(0.0, math.pi))
-            if povm_overlap(p1, p2, spec) < fid - 1e-9:
+            r, theta_u = rng.uniform(0.0, 5.0), rng.uniform(0.0, math.pi)
+            if povm_overlap(p1, p2, r, theta_u) < fid - 1e-9:
                 povm_violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and povm_violations == 0 and elapsed < 30.0

@@ -11,7 +11,7 @@ import pytest
 
 import gdist
 from gdist import GaussianParams, fidelity_params, minimize_overlap_general
-from gdist.cli import Figure, FigureRequest, emit_figure_data, main
+from gdist.cli import FIGURES, emit_figure_data, main
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
 
@@ -68,6 +68,19 @@ class TestFidelityCommand:
         assert code == 0
         assert "fidelity=1.0" in out
 
+    def test_tolerance_governs_cov_physicality(self, tmp_path, vac, monkeypatch, capsys):
+        # det = 1 - 2e-7: physical under GDIST_TOL=1e-6, read as the vacuum
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"cov": [[0.9999999, 0.0], [0.0, 0.9999999]]}))
+        sq = write_state(tmp_path, "sq.json", GaussianParams(2.0, 3.0, 0.4))
+        monkeypatch.setenv("GDIST_TOL", "1e-6")
+        code, out = run_cli(["classify", "--a", str(path), "--b", sq])
+        assert code == 0
+        assert out == run_cli(["classify", "--a", vac, "--b", sq])[1]
+        monkeypatch.delenv("GDIST_TOL")
+        assert main(["classify", "--a", str(path), "--b", sq]) == 2
+        assert "physical" in capsys.readouterr().err
+
 
 class TestErrorHandling:
     def test_malformed_json_names_field(self, tmp_path, vac, capsys):
@@ -101,6 +114,20 @@ class TestErrorHandling:
         b = write_state(tmp_path, "b.json", GaussianParams(1.0, 2.0, 0.0, 1.0, 0.0))
         code = main(["classify", "--a", a, "--b", b])
         assert code == 2
+
+    def test_invalid_tolerance_named(self, tmp_path, monkeypatch, capsys):
+        # same-mean squeezed states: a NaN tolerance must not read as unequal means
+        a = write_state(tmp_path, "a.json", GaussianParams(1.0, 2.0, 0.0))
+        b = write_state(tmp_path, "b.json", GaussianParams(1.0, 3.0, 0.0))
+        monkeypatch.setenv("GDIST_TOL", "nan")
+        code = main(["classify", "--a", a, "--b", b])
+        assert code == 2
+        assert "GDIST_TOL" in capsys.readouterr().err
+
+    def test_negative_squeeze_degree(self, tmp_path, vac, capsys):
+        code = main(["povm-scan", "--a", vac, "--b", vac, "--r-max", "-1"])
+        assert code == 2
+        assert "squeeze parameter" in capsys.readouterr().err
 
 
 class TestOverlapCommands:
@@ -192,9 +219,8 @@ class TestFigureCommand:
         assert len(lines) == 1 + 3 * 4
 
     def test_fig2_touches_zero_fig3_does_not(self):
-        req2 = FigureRequest(Figure.FIG2, s2_range=(1.5, 4.0, 6), phi_steps=256)
         buf = io.StringIO()
-        emit_figure_data(req2, buf)
+        emit_figure_data("fig2", (1.5, 4.0, 6), 256, buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         norm = {}
         for s2, phi, i_phi, fid, nd in rows:
@@ -203,19 +229,18 @@ class TestFigureCommand:
             assert min(vals) >= -1e-12
             assert min(vals) < 1e-3  # grid resolution; refined min is ~0
 
-        req3 = FigureRequest(Figure.FIG3, s2_range=(1.0, 3.0, 6), phi_steps=256)
         buf = io.StringIO()
-        emit_figure_data(req3, buf)
+        emit_figure_data("fig3", (1.0, 3.0, 6), 256, buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         assert min(float(r[4]) for r in rows) > 1e-3
 
 
-def rowwise_figure_csv(req):
+def rowwise_figure_csv(which, s2_range, phi_steps):
     """The figure CSV formatted one row at a time, five reprs per row: the byte reference."""
-    g1, g2, s1, theta_tilde = req.fixed
-    lo, hi, steps = req.s2_range
+    g1, g2, s1, theta_tilde = FIGURES[which]
+    lo, hi, steps = s2_range
     out = ["s2,phi,I_phi,F,norm_diff\n"]
-    phis = np.linspace(0.0, math.pi, req.phi_steps, endpoint=False)
+    phis = np.linspace(0.0, math.pi, phi_steps, endpoint=False)
     p1 = GaussianParams(g1, s1, 0.0)
     for s2 in np.linspace(lo, hi, steps):
         p2 = GaussianParams(g2, float(s2), theta_tilde)
@@ -228,16 +253,18 @@ def rowwise_figure_csv(req):
 
 
 class TestFigureBytes:
-    @pytest.mark.parametrize("which", list(Figure))
+    @pytest.mark.parametrize("which", list(FIGURES))
     @pytest.mark.parametrize("grid", [None, ((1.0, 5.0, 7), 33)], ids=["default", "7x33"])
     def test_matches_rowwise_formatter(self, which, grid):
-        if grid is None:
-            req = FigureRequest(which)
+        if grid is None:  # the grid the command defaults to
+            code, got = run_cli(["figure", "--which", which])
+            assert code == 0
+            grid = ((1.0, 5.0, 200), 720)
         else:
-            req = FigureRequest(which, s2_range=grid[0], phi_steps=grid[1])
-        buf = io.StringIO()
-        emit_figure_data(req, buf)
-        got, want = buf.getvalue(), rowwise_figure_csv(req)
+            buf = io.StringIO()
+            emit_figure_data(which, *grid, buf)
+            got = buf.getvalue()
+        want = rowwise_figure_csv(which, *grid)
         if got != want:  # name the first differing row, not a 13 MB diff
             pairs = zip(got.splitlines(), want.splitlines())
             row, (line, ref) = next((k, lr) for k, lr in enumerate(pairs) if lr[0] != lr[1])

@@ -12,7 +12,6 @@ from gdist import (
     fidelity_params,
     params_from_covariance,
 )
-from gdist.states import states_equal
 
 from conftest import log_uniform, matmul_covariance, random_params
 from crosscheck import check_fidelity_properties, squeeze_mismatch, transform
@@ -164,13 +163,15 @@ class TestFidelityProperties:
 
 
 def mpmath_fidelity(p1, p2):
-    """50-digit reference in the unrationalized covariance form.
+    """120-digit reference (F, q, 1 - F) in the unrationalized covariance form.
 
-    F = sqrt(2 / (sqrt(Dcap + dlow) - sqrt(dlow))) exp(-beta^T (C1+C2)^{-1} beta)
-    with Dcap = det(C1 + C2) and dlow = (det C1 - 1)(det C2 - 1); at 50
-    digits the difference of square roots keeps more than 30 of them.
+    F = sqrt(2 / (sqrt(Dcap + dlow) - sqrt(dlow))) exp(-q), q = beta^T (C1+C2)^{-1} beta,
+    with Dcap = det(C1 + C2) and dlow = (det C1 - 1)(det C2 - 1).  On the wide
+    domain the determinants and the difference of square roots cost up to
+    about 30 digits, and 1 - F of a nearly identical pair down to 1e-30 some
+    30 more, so 1 - F keeps about 60.
     """
-    with mpmath.workdps(50):
+    with mpmath.workdps(120):
 
         def cov(p):
             c, s = mpmath.cos(mpmath.mpf(p.theta)), mpmath.sin(mpmath.mpf(p.theta))
@@ -181,20 +182,23 @@ def mpmath_fidelity(p1, p2):
         c1, c2 = cov(p1), cov(p2)
         total = c1 + c2
         delta_cap = mpmath.det(total)
-        # a pure state's det - 1 is roundoff of either sign at 50 digits
+        # a pure state's det - 1 is roundoff of either sign at 120 digits
         delta_low = max(mpmath.det(c1) - 1, 0) * max(mpmath.det(c2) - 1, 0)
         beta = mpmath.matrix(
             [mpmath.mpf(p2.alpha_x) - mpmath.mpf(p1.alpha_x), mpmath.mpf(p2.alpha_y) - mpmath.mpf(p1.alpha_y)]
         )
         quad = (beta.T * mpmath.inverse(total) * beta)[0]
         root = mpmath.sqrt(delta_cap + delta_low) - mpmath.sqrt(delta_low)
-        return mpmath.sqrt(2 / root) * mpmath.exp(-quad), quad
+        fid = mpmath.sqrt(2 / root) * mpmath.exp(-quad)
+        return fid, quad, 1 - fid
 
 
 @st.composite
 def wide_same_mean_pairs(draw):
-    """gamma in [1, 1e8], s in [1, 1e6]; half the pairs nearly identical."""
-    gamma, s = draw(log_uniform(1.0, 1e8)), draw(log_uniform(1.0, 1e6))
+    """gamma in [1, 1e8], s in [1, 1e6]; one first state in ten pure, half the pairs nearly identical."""
+    pure = draw(st.integers(0, 9)) == 0
+    gamma = 1.0 if pure else draw(log_uniform(1.0, 1e8))
+    s = draw(log_uniform(1.0, 1e6))
     theta = draw(st.floats(0.0, math.pi, exclude_max=True))
     first = GaussianParams(gamma, s, theta)
     if draw(st.booleans()):
@@ -216,12 +220,41 @@ class TestFidelityWithoutCancellation:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(wide_same_mean_pairs())
     def test_matches_mpmath_on_the_wide_domain(self, pair):
-        fid = fidelity_params(*pair).fidelity
-        if states_equal(*pair):  # the identical-state rule: 1 within 1e-9
-            assert fid == 1.0
-            return
-        reference, _ = mpmath_fidelity(*pair)
-        assert abs(fid - float(reference)) <= 1e-14 * float(reference)
+        rep = fidelity_params(*pair)
+        reference, _, _ = mpmath_fidelity(*pair)
+        assert abs(rep.fidelity - float(reference)) <= 1e-14 * float(reference)
+        if pair[0] == pair[1]:  # no identical-state rule: the arithmetic gives 1 and +0
+            assert rep.fidelity == 1.0
+            assert math.copysign(1.0, rep.bures_distance_sq) == 1.0
+            assert math.copysign(1.0, rep.uhlmann_angle) == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wide_same_mean_pairs())
+    def test_infidelity_matches_mpmath_on_the_wide_domain(self, pair):
+        rep = fidelity_params(*pair)
+        _, _, infidelity = mpmath_fidelity(*pair)
+        with mpmath.workdps(120):
+            bures = float(2 * infidelity)
+            angle = float(2 * mpmath.asin(mpmath.sqrt(infidelity / 2)))
+        assert abs(rep.bures_distance_sq - bures) <= 1e-14 * bures
+        assert abs(rep.uhlmann_angle - angle) <= 1e-14 * angle
+
+    def test_identical_pairs_give_one_and_positive_zero(self):
+        states = (GaussianParams(1.0), GaussianParams(1e8, 1e6, 3.0), GaussianParams(2.0, 3.0, 0.5, 1.0, -2.0))
+        for p in states:
+            rep = fidelity_params(p, p)
+            assert rep.fidelity == 1.0
+            assert (rep.bures_distance_sq, rep.uhlmann_angle) == (0.0, 0.0)
+            assert math.copysign(1.0, rep.bures_distance_sq) == 1.0
+            assert math.copysign(1.0, rep.uhlmann_angle) == 1.0
+
+    def test_vacuum_against_nearly_pure_state(self):
+        # 1 - F = 2.5000002068196775e-11 (120-digit mpmath); an identical-state
+        # rule within 1e-9 would report F = 1
+        nearly_pure = GaussianParams(1.0 + 1e-10, 1.0 + 1e-10, math.pi / 2)
+        rep = fidelity_params(GaussianParams(1.0), nearly_pure)
+        assert rep.fidelity < 1.0
+        assert abs(0.5 * rep.bures_distance_sq / 2.5000002068196775e-11 - 1.0) <= 1e-14
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -231,7 +264,7 @@ class TestFidelityWithoutCancellation:
     )
     def test_exponent_matches_mpmath_for_displaced_pairs(self, first, second, shift):
         p1, p2 = GaussianParams(*first), GaussianParams(*second, *shift)
-        _, quad = mpmath_fidelity(p1, p2)
+        _, quad, _ = mpmath_fidelity(p1, p2)
         exponent = fidelity_params(p1, p2).exponent
         assert abs(exponent + float(quad)) <= 1e-14 * float(quad) + 1e-300
 

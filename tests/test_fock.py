@@ -32,6 +32,11 @@ from crosscheck import annihilation, displacement_op, marginal, squeeze_op
 EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
 
 
+def fock_density(rho, phi, grid):
+    """``marginal_fock`` with a wavefunction table of its own."""
+    return marginal_fock(rho, phi, grid, quadrature_wavefunctions(rho.dim, grid))
+
+
 class TestStructuredExponentials:
     """The cached-eigendecomposition exponentials against scipy's expm."""
 
@@ -133,7 +138,7 @@ class TestBuildState:
                 rng.uniform(1, 4), rng.uniform(1, 4), rng.uniform(0, math.pi),
                 rng.uniform(-1, 1), rng.uniform(-1, 1),
             )
-            rho = build_state(p)
+            rho = auto_state(p)
             assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
@@ -175,7 +180,7 @@ class TestFidelityFock:
 
     def test_automatic_truncations_differ(self):
         p1, p2 = GaussianParams(1.5, 2.0, 0.3), GaussianParams(2.0, 1.5, 1.1, 0.4, -0.2)
-        a, b = build_state(p1), build_state(p2)
+        a, b = auto_state(p1), auto_state(p2)
         assert (a.dim, b.dim) == (46, 52)
         assert abs(fidelity_fock(a, b) - fidelity_params(p1, p2).fidelity) < 1e-8
 
@@ -205,7 +210,7 @@ class TestMarginalFock:
     def test_vacuum_ground_function(self):
         rho = build_state(GaussianParams(1.0), 20)
         grid = np.linspace(-4, 4, 81)
-        dens = marginal_fock(rho, 0.0, grid)
+        dens = fock_density(rho, 0.0, grid)
         expected = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * grid**2)
         assert np.max(np.abs(dens - expected)) < 1e-10
 
@@ -213,14 +218,14 @@ class TestMarginalFock:
         p = GaussianParams(1.0, 4.0, 0.0)
         rho = build_state(p, 80)
         grid = np.linspace(-12, 12, 1201)
-        dens = marginal_fock(rho, 0.0, grid)
+        dens = fock_density(rho, 0.0, grid)
         expected = marginal(p, 0.0).density(grid)
         assert np.max(np.abs(dens - expected)) < 1e-7
 
     def test_rotational_covariance(self):
         grid = np.linspace(-8, 8, 801)
-        a = marginal_fock(build_state(GaussianParams(1.0, 3.0, math.pi / 4), 60), math.pi / 4, grid)
-        b = marginal_fock(build_state(GaussianParams(1.0, 3.0, 0.0), 60), 0.0, grid)
+        a = fock_density(build_state(GaussianParams(1.0, 3.0, math.pi / 4), 60), math.pi / 4, grid)
+        b = fock_density(build_state(GaussianParams(1.0, 3.0, 0.0), 60), 0.0, grid)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_rotated_mixed_state_width(self):
@@ -230,13 +235,13 @@ class TestMarginalFock:
         for phi in (0.0, math.pi / 6, 1.3):
             m = marginal(p, phi)
             grid = np.linspace(m.mean_along - 10, m.mean_along + 10, 1001)
-            dens = marginal_fock(rho, phi, grid)
+            dens = fock_density(rho, phi, grid)
             assert np.max(np.abs(dens - m.density(grid))) < 1e-7
 
     def test_mass_check_raises(self):
         rho = build_state(GaussianParams(1.0, 1.0, 0.0, 1.5, 0.0), 40)
         with pytest.raises(TruncationError):
-            marginal_fock(rho, 0.0, np.linspace(-0.5, 0.5, 11))  # grid misses the state
+            fock_density(rho, 0.0, np.linspace(-0.5, 0.5, 11))  # grid misses the state
 
     def test_quadrature_moments(self):
         p = GaussianParams(3.0, 2.0, 0.7, 1.0, -0.5)
@@ -279,7 +284,7 @@ class TestKernelsAgainstDense:
                 phases = np.exp(1j * phi * np.arange(rho.dim))
                 rho_rot = (phases[:, None].conj() * rho.matrix) * phases[None, :]
                 dense = np.einsum("mk,mn,nk->k", h, rho_rot, h, optimize=True).real
-                assert np.max(np.abs(marginal_fock(rho, phi, grid) - dense)) < 1e-14
+                assert np.max(np.abs(marginal_fock(rho, phi, grid, h) - dense)) < 1e-14
 
 
 class TestHermiteFunctions:

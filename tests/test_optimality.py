@@ -24,6 +24,7 @@ from gdist import (
 )
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 from gdist.optimality import PairClass, _critical_angles
+from gdist.states import DEFAULT_TOL
 
 from conftest import log_uniform, matmul_covariance, random_params
 from crosscheck import (
@@ -369,7 +370,7 @@ class TestEqualityEquation:
         for _ in range(200):
             p1 = random_params(rng, gamma_hi=5.0, s_hi=5.0)
             p2 = random_params(rng, gamma_hi=5.0, s_hi=5.0)
-            if p1.is_pure() or p2.is_pure():
+            if p1.is_pure(DEFAULT_TOL) or p2.is_pure(DEFAULT_TOL):
                 continue
             fid = fidelity_params(p1, p2).fidelity
             if fid >= 1.0 - 1e-9:
@@ -854,6 +855,14 @@ class TestClassifyPair:
         monkeypatch.setenv("GDIST_TOL", "1e-6")
         v = classify_pair(GaussianParams(1.0 + 5e-7), GaussianParams(1.0 + 5e-7, 2.0, 0.3))
         assert v.kind is PairClass.PURE_PURE_ALWAYS_OPTIMAL
+
+    def test_tight_tolerance_sees_nearly_pure_state(self, monkeypatch):
+        # 1 - F = 2.5000002068196775e-11 and the minimal overlap is 1 to 1e-21,
+        # so the gap is 1 - F; an identical-state rule in the fidelity gave 0
+        monkeypatch.setenv("GDIST_TOL", "1e-12")
+        v = classify_pair(GaussianParams(1.0), GaussianParams(1.0 + 1e-10, 1.0 + 1e-10, math.pi / 2))
+        assert v.kind is PairClass.PURE_MIXED_NEVER_OPTIMAL
+        assert abs(v.gap / 2.5000002068196775e-11 - 1.0) < 1e-5
 
 
 def numpy_extreme_angle(p1, p2, mu):

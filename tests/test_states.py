@@ -15,7 +15,7 @@ from gdist import (
     params_from_covariance,
     state_from_dict,
 )
-from gdist.states import load_state, states_equal
+from gdist.states import DEFAULT_TOL, default_tol, load_state, states_equal
 
 from conftest import random_params
 from crosscheck import characteristic_fn, wigner_fn
@@ -110,13 +110,13 @@ class TestParamsFromCovariance:
 
 class TestIsPhysical:
     def test_vacuum(self):
-        assert is_physical(CovarianceState(np.eye(2)))
+        assert is_physical(CovarianceState(np.eye(2)), DEFAULT_TOL)
 
     def test_violates_uncertainty(self):
-        assert not is_physical(CovarianceState(np.diag([0.5, 0.5])))
+        assert not is_physical(CovarianceState(np.diag([0.5, 0.5])), DEFAULT_TOL)
 
     def test_pure_squeezed(self):
-        assert is_physical(CovarianceState(np.diag([4.0, 0.25])))
+        assert is_physical(CovarianceState(np.diag([4.0, 0.25])), DEFAULT_TOL)
 
     def test_tolerance_band(self):
         c = CovarianceState((1.0 - 2e-10) * np.eye(2))
@@ -250,27 +250,28 @@ class TestStatesEqual:
     def test_theta_mod_pi(self):
         a = GaussianParams(2.0, 3.0, 1e-12)
         b = GaussianParams(2.0, 3.0, math.pi - 1e-12)
-        assert states_equal(a, b)
+        assert states_equal(a, b, DEFAULT_TOL)
 
     def test_distinct(self):
-        assert not states_equal(GaussianParams(2.0), GaussianParams(2.001))
+        assert not states_equal(GaussianParams(2.0), GaussianParams(2.001), DEFAULT_TOL)
 
 
 class TestToleranceOverride:
     def test_env_var_changes_default(self, monkeypatch):
-        from gdist.states import default_tol
-
         assert default_tol() == 1e-9
         monkeypatch.setenv("GDIST_TOL", "1e-6")
         assert default_tol() == 1e-6
         c = CovarianceState((1.0 - 1e-7) * np.eye(2))
-        assert is_physical(c)  # accepted under the loosened tolerance
+        assert is_physical(c, default_tol())  # accepted under the loosened tolerance
+        # ... and read as the vacuum, not rejected by GaussianParams' fixed bound
+        assert params_from_covariance(c) == GaussianParams(1.0)
         monkeypatch.delenv("GDIST_TOL")
-        assert not is_physical(c)
+        assert not is_physical(c, default_tol())
+        with pytest.raises(NonPhysicalStateError):
+            params_from_covariance(c)
 
-    def test_invalid_env_var(self, monkeypatch):
-        from gdist.states import default_tol
-
-        monkeypatch.setenv("GDIST_TOL", "tiny")
-        with pytest.raises(StateFormatError):
+    @pytest.mark.parametrize("value", ["tiny", "nan", "inf", "-1e-3", "0"])
+    def test_invalid_env_var(self, monkeypatch, value):
+        monkeypatch.setenv("GDIST_TOL", value)
+        with pytest.raises(StateFormatError, match="GDIST_TOL"):
             default_tol()
