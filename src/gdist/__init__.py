@@ -9,7 +9,6 @@ A truncated Fock-space oracle cross-validates every closed form.
 from .errors import (
     GdistError,
     NonPhysicalStateError,
-    NumericalFailureError,
     StateFormatError,
     TruncationError,
     UnsupportedPairError,

@@ -333,6 +333,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but never the user's input
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
     except (
         StateFormatError,
         NonPhysicalStateError,
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-    except (TruncationError, GdistError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (TruncationError, GdistError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # never traceback on user input

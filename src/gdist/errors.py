@@ -26,7 +26,3 @@ class TruncationError(GdistError):
 
 class UnsupportedPairError(GdistError):
     """State pair falls outside the classified regimes (squeezed, unequal means)."""
-
-
-class NumericalFailureError(GdistError):
-    """A numerical routine produced a result outside its valid range."""

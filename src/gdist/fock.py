@@ -1,10 +1,12 @@
 """Truncated Fock-space oracle.
 
-Rebuilds the states as dense density matrices in a photon-number basis and
-recomputes fidelity, homodyne marginals, and overlaps from first principles
-(operator exponentials, eigendecompositions, quadrature wavefunctions).  No
-Gaussian closed form is reused, so these routines serve as an independent
-check on the rest of the package.
+Rebuilds the states in a photon-number basis and recomputes fidelity,
+homodyne marginals, and overlaps from first principles (operator
+exponentials, singular values, quadrature wavefunctions).  No Gaussian
+closed form is reused, so these routines serve as an independent check on
+the rest of the package.  Each state is held as the exact square root
+L = D S sqrt(rho_T) of rho = D S rho_T S^dag D^dag = L L^dag, so no state is
+eigendecomposed and the dense rho is formed only on request.
 
 The squeeze and displacement exponentials are exact exponentials of the
 truncated generators, taken through eigendecompositions computed once per
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalFailureError, TruncationError
+from .errors import TruncationError
 from .states import GaussianParams
 
 LEAKAGE_TOL = 1e-6
@@ -38,60 +39,58 @@ BOUNDARY_TOL = 1e-10
 MAX_AUTO_DIM = 1024
 MAX_CACHED_STATES = 32
 MAX_CACHED_BYTES = 64 * 2**20
+#: Thermal components lighter than this, relative to the heaviest, are left
+#: out of a state's factor; each moves F or an overlap by about sqrt(1e-20).
+WEIGHT_FLOOR = 1e-20
 
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense Hermitian operator in a truncated number basis."""
+    """A state in a truncated number basis as its factor L (dim x rank), rho = L L^dag.
 
-    matrix: np.ndarray
+    Positive semidefinite by construction; ``matrix`` is formed on first read.
+    """
+
+    factor: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("operator is not Hermitian")
-        m = 0.5 * (m + m.conj().T)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        f = np.ascontiguousarray(self.factor, dtype=complex)
+        if f.ndim != 2:
+            raise ValueError(f"factor must be a matrix, got shape {f.shape}")
+        f.setflags(write=False)
+        object.__setattr__(self, "factor", f)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """Diagonal of rho: the squared row norms of the factor."""
+        return np.square(self.factor.view(float)).sum(axis=1)
 
     @property
     def leakage(self) -> float:
         """Probability lost past the truncation (1 - trace, for states)."""
-        return 1.0 - self.trace
+        return 1.0 - float(np.sum(self.populations))
 
     @cached_property
-    def factor(self) -> np.ndarray:
-        """L (dim x rank) with L L^dag = the operator, from its eigendecomposition.
-
-        Small negative eigenvalues from truncation are clipped to zero, and
-        eigenvalues at roundoff scale relative to the largest are dropped:
-        they are true zeros of near-pure states, and keeping them would lift
-        sqrt noise from 1e-16 to 1e-8.
-        """
-        w, v = np.linalg.eigh(self.matrix)
-        if np.any(w <= -1e-10):
-            raise NumericalFailureError("operator has a significantly negative eigenvalue")
-        keep = w >= 1e-14 * w.max()
-        out = v[:, keep] * np.sqrt(w[keep])
-        out.setflags(write=False)
-        return out
+    def matrix(self) -> np.ndarray:
+        """The dense density matrix L L^dag."""
+        m = self.factor @ self.factor.conj().T
+        m.setflags(write=False)
+        return m
 
 
 def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the real symmetric tridiagonal with zero diagonal."""
+    """Eigenpairs (w, q) of the real symmetric tridiagonal with zero diagonal.
+
+    Row k of q is signed by (-1)^(k//2), as ``_orthogonal_core`` needs.
+    """
     from scipy.linalg import eigh_tridiagonal
 
     w, q = eigh_tridiagonal(np.zeros(offdiag.size + 1), offdiag)
+    q *= (-1.0) ** (np.arange(w.size) // 2)[:, None]
     w.setflags(write=False)
     q.setflags(write=False)
     return w, q
@@ -113,35 +112,27 @@ def _squeeze_eigen(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(blocks)
 
 
-# Re(i^j) and Im(i^j) for j mod 4
-_RE_POW_I = np.array([1.0, 0.0, -1.0, 0.0])
-_IM_POW_I = np.array([0.0, 1.0, 0.0, -1.0])
-
-
 def _orthogonal_core(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """exp(tA) for A real antisymmetric tridiagonal with A[k+1, k] = e_k > 0.
 
     A = i V^dag T V with T the symmetric tridiagonal on e and V = diag(i^k),
-    whose eigenpairs (w, q) are given.  So exp(tA) = V^dag (C + iS) V with
-    C = q cos(tw) q^T and S = q sin(tw) q^T, and entry (k, l) of this real
-    orthogonal matrix is Re(i^(l-k)) C_kl - Im(i^(l-k)) S_kl.
+    so exp(tA) = V^dag q e^{itw} q^T V with (w, q) the eigenpairs of T, and
+    its entry (k, l) is Re(i^(l-k) (q e^{itw} q^T)_kl).  With the rows of q
+    signed by (-1)^(k//2), as ``eigen`` holds them, that is (q cos(tw) q^T)_kl
+    when k and l share their parity, -(q sin(tw) q^T)_kl for k even and l
+    odd, and +(q sin(tw) q^T)_kl for k odd and l even.
     """
     w, q = eigen
-    c = (q * np.cos(t * w)) @ q.T
-    s = (q * np.sin(t * w)) @ q.T
-    k = np.arange(w.size)
-    shift = (k[None, :] - k[:, None]) % 4  # (l - k) mod 4 at (k, l)
-    return _RE_POW_I[shift] * c - _IM_POW_I[shift] * s
+    cos, sin = np.cos(t * w), np.sin(t * w)
+    out = np.empty((w.size, w.size))
+    for rows, cols, trig in ((0, 0, cos), (1, 1, cos), (0, 1, -sin), (1, 0, sin)):
+        out[rows::2, cols::2] = (q[rows::2] * trig) @ q[cols::2].T
+    return out
 
 
-def _phases(angle: float, dim: int) -> np.ndarray:
-    """e^{i (m - n) angle} at (m, n): conjugation by diag(e^{i n angle}), 1 on the diagonal.
-
-    A read-only Toeplitz view of the 2 dim - 1 distinct values: row m holds
-    v[dim - 1 - m + n] with v[j] = e^{i (dim - 1 - j) angle}.
-    """
-    v = np.exp(1j * angle * np.arange(dim - 1, -dim, -1))
-    return sliding_window_view(v, dim)[::-1]
+def _row_phases(angle: float, dim: int) -> np.ndarray:
+    """diag(e^{i n angle}) as a column, to multiply the rows of a factor."""
+    return np.exp(1j * angle * np.arange(dim))[:, None]
 
 
 def _squeeze_blocks(r: float, dim: int) -> list[np.ndarray]:
@@ -172,7 +163,7 @@ def boundary_mass(op: FockOperator) -> float:
     weight piling up at the cutoff can.
     """
     window = max(4, op.dim // 16)
-    return float(np.sum(np.diagonal(op.matrix).real[-window:]))
+    return float(np.sum(op.populations[-window:]))
 
 
 _STATES: OrderedDict[tuple, FockOperator] = OrderedDict()
@@ -181,9 +172,8 @@ _STATES: OrderedDict[tuple, FockOperator] = OrderedDict()
 def _state_at(p: GaussianParams, dim: int) -> FockOperator:
     """The state at truncation ``dim``, from a least-recently-used cache.
 
-    The cache holds at most MAX_CACHED_STATES states and MAX_CACHED_BYTES,
-    counting each state twice (its matrix plus its cached fidelity factor),
-    and always keeps the newest state.
+    The cache holds at most MAX_CACHED_STATES states and MAX_CACHED_BYTES
+    of their factors, and always keeps the newest state.
     """
     key = (p.gamma, p.s, p.theta, p.alpha_x, p.alpha_y, dim)
     op = _STATES.get(key)
@@ -200,8 +190,8 @@ def _state_at(p: GaussianParams, dim: int) -> FockOperator:
 
 
 def state_cache_info() -> tuple[int, int]:
-    """(states, bytes) held by the state cache, bytes counted as it bounds them."""
-    return len(_STATES), sum(2 * o.matrix.nbytes for o in _STATES.values())
+    """(states, bytes of their factors) held by the state cache."""
+    return len(_STATES), sum(o.factor.nbytes for o in _STATES.values())
 
 
 def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
@@ -226,7 +216,7 @@ def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
 
 
 def build_state(p: GaussianParams, dim: int) -> FockOperator:
-    """Density matrix of a displaced squeezed thermal state at truncation ``dim``.
+    """A displaced squeezed thermal state at truncation ``dim``.
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
     D, S exponentials of the truncated generators.  Raises TruncationError
@@ -241,43 +231,39 @@ def build_state(p: GaussianParams, dim: int) -> FockOperator:
 
 
 def _build_fixed(p: GaussianParams, dim: int) -> FockOperator:
-    """D S rho_T S^dag D^dag, the real orthogonal cores applied in real arithmetic.
+    """The factor L = D S sqrt(rho_T), the orthogonal cores in real arithmetic.
 
-    With S = U_theta K_s U_theta^dag and D = U_phi K_d U_phi^dag (phi = arg
-    alpha), rho = U_phi K_d Z K_d^T U_phi^dag where Z = U_{theta-phi} K_s
-    rho_T K_s^T U_{theta-phi}^dag.  The phases multiply entries (m, n) by
-    e^{i(m-n) angle}, so the diagonal, and hence the trace, never leaves real
-    arithmetic.
+    With S = U_theta K_s U_theta^dag, D = U_phi K_d U_phi^dag (phi = arg
+    alpha, U_a = diag(e^{i n a}) multiplying rows), and since U_theta^dag
+    commutes with sqrt(rho_T) and a unitary on the right of L leaves L L^dag
+    unchanged, L = U_phi K_d U_{theta-phi} K_s sqrt(w).  Only the columns of
+    the thermal weights w_n >= WEIGHT_FLOOR w_0 are kept.
     """
     w = thermal_weights(p.nbar, dim)
-    if p.s == 1.0:
-        core = np.diag(w)
-    else:
-        core = np.zeros((dim, dim))
+    root = np.sqrt(w[w >= WEIGHT_FLOOR * w[0]])
+    core = np.eye(dim, root.size) * root
+    if p.s != 1.0:
         for parity, k in enumerate(_squeeze_blocks(p.r, dim)):
-            core[parity::2, parity::2] = (k * w[parity::2]) @ k.T
+            cols = root[parity::2]
+            core[parity::2, parity::2] = k[:, : cols.size] * cols
     if p.alpha == 0.0:
-        return FockOperator(_phases(p.theta, dim) * core)
+        return FockOperator(_row_phases(p.theta, dim) * core)
     phi = math.atan2(p.alpha_y, p.alpha_x)
-    k = _orthogonal_core(_displacement_eigen(dim), abs(p.alpha))
-    if p.s == 1.0:
-        inner = (k * w) @ k.T
-    else:
-        z = _phases(p.theta - phi, dim) * core
-        inner = k @ z.real @ k.T + 1j * (k @ z.imag @ k.T)
-    return FockOperator(_phases(phi, dim) * inner)
+    z = _row_phases(p.theta - phi, dim) * core
+    inner = _orthogonal_core(_displacement_eigen(dim), abs(p.alpha)) @ z.view(float)
+    return FockOperator(_row_phases(phi, dim) * inner.view(complex))
 
 
 def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
-    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) via Hermitian eigendecompositions.
+    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) from the factors, without eigensolves.
 
-    With rho_i = L_i L_i^dag (``FockOperator.factor``, cached per operator),
-    the fidelity is the trace norm of L1^dag L2: the sum of its singular
-    values, which roundoff moves by eps rather than by sqrt(eps) as it does
-    the eigenvalues of the sandwich product.  Operators of different
-    truncations (``auto_state`` picks one per state) compare in the larger
-    space, where the smaller factor has zero rows past its dim, so only the
-    first min(dim) rows of each factor enter.
+    With rho_i = L_i L_i^dag (``FockOperator.factor``), the fidelity is the
+    trace norm of L1^dag L2: the sum of its singular values, which roundoff
+    moves by eps rather than by sqrt(eps) as it does the eigenvalues of the
+    sandwich product; a non-finite factor raises LinAlgError.  Operators of
+    different truncations (``auto_state`` picks one per state) compare in the
+    larger space, where the smaller factor has zero rows past its dim, so
+    only the first min(dim) rows of each factor enter.
     """
     rows = min(a.dim, b.dim)
     overlap = a.factor[:rows].conj().T @ b.factor[:rows]
@@ -285,39 +271,47 @@ def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
 
 
 def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_{count-1} on ``x`` (stable recurrence)."""
+    """Orthonormal Hermite functions h_0..h_{count-1} on ``x`` (stable recurrence, in place)."""
     x = np.asarray(x, dtype=float)
-    h = np.zeros((count, x.size))
-    h[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    h = np.empty((count, x.size))
+    scratch = np.empty(x.size)
+    np.exp(-0.5 * x * x, out=h[0])
+    h[0] *= math.pi**-0.25
     if count > 1:
-        h[1] = math.sqrt(2.0) * x * h[0]
+        np.multiply(x, math.sqrt(2.0), out=h[1])
+        h[1] *= h[0]
     for n in range(2, count):
-        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
+        np.multiply(x, math.sqrt(2.0 / n), out=h[n])
+        h[n] *= h[n - 1]
+        np.multiply(h[n - 2], math.sqrt((n - 1.0) / n), out=scratch)
+        h[n] -= scratch
     return h
 
 
 def quadrature_wavefunctions(count: int, grid: np.ndarray) -> np.ndarray:
     """X_0 eigenfunctions psi_n(x) = 2^{1/4} h_n(sqrt(2) x) (vacuum variance 1/4)."""
-    return 2.0**0.25 * hermite_functions(count, math.sqrt(2.0) * np.asarray(grid, dtype=float))
+    table = hermite_functions(count, math.sqrt(2.0) * np.asarray(grid, dtype=float))
+    table *= 2.0**0.25
+    return table
 
 
 def quadrature_moments(a: FockOperator, phi: float) -> tuple[float, float]:
-    """Mean and variance of X_phi computed directly from the density matrix.
+    """Mean and variance of X_phi computed directly from the factor.
 
     X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 with the truncated a, so only
-    two sub-diagonals and the diagonal of rho enter, in O(dim):
+    two sub-diagonals and the diagonal of rho enter, in O(dim rank):
     <a> = sum_n sqrt(n) rho_{n,n-1}, <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
-    and the truncated a a^dag + a^dag a is diag(2n + 1) except at the top
-    level, where a a^dag is 0.
+    rho_{n,m} = sum_k L_nk L_mk^*, and the truncated a a^dag + a^dag a is
+    diag(2n + 1) except at the top level, where a a^dag is 0.
     """
-    rho = a.matrix
+    f = a.factor
     n = np.arange(a.dim, dtype=float)
-    mean_a = np.dot(np.sqrt(n[1:]), np.diagonal(rho, -1))
-    mean_a2 = np.dot(np.sqrt(n[2:] * n[1:-1]), np.diagonal(rho, -2))
+    mean_a = np.dot(np.sqrt(n[1:]), np.einsum("ij,ij->i", f[1:], f[:-1].conj()))
+    mean_a2 = np.dot(np.sqrt(n[2:] * n[1:-1]), np.einsum("ij,ij->i", f[2:], f[:-2].conj()))
     number = 2.0 * n + 1.0
     number[-1] = n[-1]
     mean = (np.exp(-1j * phi) * mean_a).real
-    second = 0.25 * (2.0 * (np.exp(-2j * phi) * mean_a2).real + np.dot(number, np.diagonal(rho).real))
+    second = 0.25 * (2.0 * (np.exp(-2j * phi) * mean_a2).real + np.dot(number, a.populations))
     return float(mean), float(second - mean * mean)
 
 
@@ -326,16 +320,18 @@ def marginal_fock(
 ) -> np.ndarray:
     """Homodyne outcome density on ``grid`` from the number-basis state.
 
-    p(x) = sum_mn rho_mn e^{-i(m-n)phi} psi_m(x) psi_n(x) with psi_n the
-    quadrature wavefunctions on ``grid`` (``quadrature_wavefunctions``, a
-    table of at least ``a.dim`` rows).  The psi_n are real and the
-    imaginary part of the rotated rho is antisymmetric, so only its real
-    part enters, through one real matrix product.  Raises TruncationError
-    when the grid mass falls short of 1 by more than 1e-5.
+    p(x) = sum_mn rho_mn e^{-i(m-n)phi} psi_m(x) psi_n(x) = sum_k |A_k(x)|^2
+    with A_k = sum_m e^{-i m phi} L_mk psi_m and psi_n the real quadrature
+    wavefunctions on ``grid`` (a ``quadrature_wavefunctions`` table of at
+    least ``a.dim`` rows).  One real matrix product, the rotated factor as
+    2 rank real rows times the table, gives every Re A_k and Im A_k, so the
+    density is a sum of squares.  Raises TruncationError when the grid mass
+    falls short of 1 by more than 1e-5.
     """
     h = wavefunctions[: a.dim]
-    rho_rot = (_phases(-phi, a.dim) * a.matrix).real
-    density = np.einsum("mk,mk->k", h, rho_rot @ h)
+    rotated = _row_phases(-phi, a.dim) * a.factor
+    amplitudes = rotated.view(float).T @ h
+    density = np.einsum("jk,jk->k", amplitudes, amplitudes)
     mass = float(np.trapezoid(density, grid))
     if abs(1.0 - mass) > 1e-5:
         raise TruncationError(
@@ -356,6 +352,6 @@ def overlap_fock(a: FockOperator, b: FockOperator, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne marginals (trapezoidal)."""
     grid = default_overlap_grid(a, b, phi)
     table = quadrature_wavefunctions(max(a.dim, b.dim), grid)
-    pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
-    pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
+    pa = marginal_fock(a, phi, grid, table)
+    pb = marginal_fock(b, phi, grid, table)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))

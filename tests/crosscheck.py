@@ -27,7 +27,6 @@ from gdist.fock import (
     FockOperator,
     _displacement_eigen,
     _orthogonal_core,
-    _phases,
     _squeeze_blocks,
 )
 from gdist.optimality import thermal_ratio_sum
@@ -360,6 +359,12 @@ def wigner_fn(c: CovarianceState, beta: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _conjugate_by_phases(core: np.ndarray, angle: float) -> np.ndarray:
+    """U core U^dag with U = diag(e^{i n angle})."""
+    u = np.exp(1j * angle * np.arange(core.shape[0]))
+    return u[:, None] * core * u.conj()[None, :]
+
+
 def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
@@ -370,7 +375,7 @@ def displacement_op(alpha: complex, dim: int) -> np.ndarray:
     The generator is |alpha| U (a^dag - a) U^dag with U = diag(e^{i n arg alpha}).
     """
     core = _orthogonal_core(_displacement_eigen(dim), abs(alpha))
-    return _phases(float(np.angle(alpha)), dim) * core
+    return _conjugate_by_phases(core, float(np.angle(alpha)))
 
 
 def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
@@ -385,7 +390,7 @@ def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
     core = np.zeros((dim, dim))
     for parity, block in enumerate(_squeeze_blocks(r, dim)):
         core[parity::2, parity::2] = block
-    return _phases(theta, dim) * core
+    return _conjugate_by_phases(core, theta)
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

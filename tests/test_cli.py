@@ -282,17 +282,31 @@ class TestOracleCheckCommand:
         assert lines[1].endswith(",pass")
 
     def test_numeric_failure_exits_1(self, tmp_path, vac, monkeypatch, capsys):
-        # a state with a clearly negative eigenvalue is a numeric failure of
-        # the oracle, not invalid user input
+        # a state whose factor is not finite is a numeric failure of the
+        # oracle, not invalid user input
         import numpy as np
 
         from gdist import FockOperator, validation
 
-        broken = FockOperator(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+        broken = FockOperator(np.full((4, 1), np.nan, dtype=complex))
         monkeypatch.setattr(validation, "build_state", lambda p, dim: broken)
         code, _ = run_cli(["oracle-check", "--a", vac, "--b", vac, "--dim", "4"])
         assert code == 1
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_linalg_error_exits_1(self, tmp_path, vac, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would otherwise read as bad input
+        import numpy as np
+
+        from gdist import validation
+
+        def fail(a, b):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(validation, "fidelity_fock", fail)
+        code, _ = run_cli(["oracle-check", "--a", vac, "--b", vac, "--dim", "40"])
+        assert code == 1
+        assert "numeric failure: SVD did not converge" in capsys.readouterr().err
 
     def test_random_sweep_seeded(self):
         args = ["oracle-check", "--sweep", "random", "--count", "2", "--seed", "7", "--dim", "150"]

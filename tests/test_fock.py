@@ -7,8 +7,6 @@ from scipy.linalg import expm
 from gdist import (
     FockOperator,
     GaussianParams,
-    GdistError,
-    NumericalFailureError,
     TruncationError,
     auto_state,
     build_state,
@@ -77,7 +75,7 @@ class TestStateCache:
             op = auto_state(p)
             assert op is auto_state(p)
             fresh = fock._build_fixed(p, op.dim)
-            assert np.array_equal(op.matrix, fresh.matrix)
+            assert np.array_equal(op.factor, fresh.factor)
 
     def test_cache_bounded_across_sweep(self):
         rng = np.random.default_rng(3)
@@ -92,9 +90,10 @@ class TestStateCache:
             assert size <= fock.MAX_CACHED_BYTES
 
     def test_cache_bounded_in_bytes(self, monkeypatch):
-        monkeypatch.setattr(fock, "MAX_CACHED_BYTES", 3 * 2 * 16 * 40**2)
-        for gamma in np.linspace(1.0, 2.0, 8):
-            build_state(GaussianParams(gamma), 40)
+        # these states keep all 40 thermal columns, so three factors fill the bound
+        monkeypatch.setattr(fock, "MAX_CACHED_BYTES", 3 * 16 * 40**2)
+        for gamma in np.linspace(2.0, 3.0, 8):
+            assert build_state(GaussianParams(gamma), 40).factor.shape == (40, 40)
             assert state_cache_info()[1] <= fock.MAX_CACHED_BYTES
         assert state_cache_info()[0] == 3  # the three newest states
 
@@ -122,6 +121,19 @@ class TestBuildState:
         expected = np.exp(-1.0) / factorials
         assert np.allclose(diag, expected, atol=1e-12)
         assert abs(float(np.sum(n * diag)) - 1.0) < 1e-10
+
+    def test_pure_state_factor_is_one_column(self):
+        for p in (GaussianParams(1.0), GaussianParams(1.0, 3.0, 0.4, 0.7, -0.2)):
+            assert build_state(p, 60).factor.shape == (60, 1)
+
+    def test_factor_keeps_weights_above_floor(self):
+        for gamma, dim in ((1.5, 60), (3.0, 150), (5.0, 150), (5.0, 100)):
+            w = fock.thermal_weights(GaussianParams(gamma).nbar, dim)
+            kept = int(np.sum(w >= fock.WEIGHT_FLOOR * w[0]))
+            assert 1 < kept <= dim and (kept == dim or w[kept] < fock.WEIGHT_FLOOR * w[0])
+            factor = build_state(GaussianParams(gamma, 2.0, 0.3, 0.5, 0.1), dim).factor
+            assert factor.shape == (dim, kept)
+            assert np.allclose(np.linalg.svd(factor, compute_uv=False) ** 2, w[:kept], rtol=1e-10)
 
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
@@ -163,14 +175,20 @@ class TestFidelityFock:
         b = build_state(GaussianParams(5.0), 160)
         assert abs(fidelity_fock(a, b) - 0.9659258262890683) < 1e-8
 
-    def test_negative_eigenvalue_is_numeric_failure(self):
-        broken = FockOperator(np.diag([1.2, -0.2, 0.0]).astype(complex))
+    def test_thermal_pair_series(self):
+        # F = sum_n sqrt(p1_n p2_n) = sqrt((1-r1)(1-r2)) / (1 - sqrt(r1 r2)), r = nbar/(nbar+1)
+        a = build_state(GaussianParams(5.0), 150)
+        b = build_state(GaussianParams(1.5), 150)
+        r1, r2 = 2.0 / 3.0, 0.25 / 1.25
+        series = math.sqrt((1.0 - r1) * (1.0 - r2)) / (1.0 - math.sqrt(r1 * r2))
+        assert abs(fidelity_fock(a, b) - series) < 1e-12
+
+    def test_non_finite_factor_raises(self):
+        broken = FockOperator(np.full((3, 1), np.nan, dtype=complex))
         fine = build_state(GaussianParams(1.0), 3)
         for a, b in ((broken, fine), (fine, broken)):
-            with pytest.raises(NumericalFailureError) as info:
+            with pytest.raises(np.linalg.LinAlgError):
                 fidelity_fock(a, b)
-            assert isinstance(info.value, GdistError)
-            assert not isinstance(info.value, ValueError)
 
     def test_dimension_mismatch_uses_shared_rows(self):
         # a truncated state embeds in the larger space with zero rows

@@ -25,7 +25,7 @@ def husimi_oracle(p, r, theta_u, alpha, dim=200):
     """Pointwise <alpha| U rho U^dag |alpha> / pi with truncated operators."""
     rho = build_state(p, dim)
     u = squeeze_op(r, theta_u, dim)
-    transformed = FockOperator(u @ rho.matrix @ u.conj().T)
+    transformed = FockOperator(u @ rho.factor)
     return husimi_fock(transformed, alpha)
 
 
