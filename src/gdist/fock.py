@@ -6,7 +6,7 @@ exponentials, singular values, quadrature wavefunctions).  No Gaussian
 closed form is reused, so these routines serve as an independent check on
 the rest of the package.  Each state is held as the exact square root
 L = D S sqrt(rho_T) of rho = D S rho_T S^dag D^dag = L L^dag, so no state is
-eigendecomposed and the dense rho is formed only on request.
+eigendecomposed (a marginal forms the real part of the rotated rho).
 
 The squeeze and displacement exponentials are exact exponentials of the
 truncated generators, taken through eigendecompositions computed once per
@@ -320,18 +320,18 @@ def marginal_fock(
 ) -> np.ndarray:
     """Homodyne outcome density on ``grid`` from the number-basis state.
 
-    p(x) = sum_mn rho_mn e^{-i(m-n)phi} psi_m(x) psi_n(x) = sum_k |A_k(x)|^2
-    with A_k = sum_m e^{-i m phi} L_mk psi_m and psi_n the real quadrature
+    p(x) = sum_mn G_mn psi_m(x) psi_n(x), psi_n the real quadrature
     wavefunctions on ``grid`` (a ``quadrature_wavefunctions`` table of at
-    least ``a.dim`` rows).  One real matrix product, the rotated factor as
-    2 rank real rows times the table, gives every Re A_k and Im A_k, so the
-    density is a sum of squares.  Raises TruncationError when the grid mass
-    falls short of 1 by more than 1e-5.
+    least ``a.dim`` rows), G = Re(rho_mn e^{-i(m-n)phi}) = V V^T with V the
+    factor rotated by e^{-i m phi} as 2 rank real columns.  The dense product
+    costs dim^2 per point whatever the rank (squares of V^T times the table
+    cost 2 rank dim: 9x apart between 1 and 91 columns at dim 150), and its
+    tails can dip below zero by roundoff.  Raises TruncationError when the
+    grid mass falls short of 1 by more than 1e-5.
     """
     h = wavefunctions[: a.dim]
-    rotated = _row_phases(-phi, a.dim) * a.factor
-    amplitudes = rotated.view(float).T @ h
-    density = np.einsum("jk,jk->k", amplitudes, amplitudes)
+    v = (_row_phases(-phi, a.dim) * a.factor).view(float)
+    density = np.einsum("jk,jk->k", h, (v @ v.T) @ h)
     mass = float(np.trapezoid(density, grid))
     if abs(1.0 - mass) > 1e-5:
         raise TruncationError(
@@ -352,6 +352,6 @@ def overlap_fock(a: FockOperator, b: FockOperator, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne marginals (trapezoidal)."""
     grid = default_overlap_grid(a, b, phi)
     table = quadrature_wavefunctions(max(a.dim, b.dim), grid)
-    pa = marginal_fock(a, phi, grid, table)
-    pb = marginal_fock(b, phi, grid, table)
+    pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
+    pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))
