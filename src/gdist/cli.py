@@ -43,6 +43,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float option: nan and inf exit 2 like any bad value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the counts that size a scan, a sweep or a truncation: at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -> None:
     """Write the figure surface as CSV: s2, phi, I_phi, F, norm_diff.
 
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="homodyne overlap I_phi at one angle")
     pair_args(p)
-    p.add_argument("--phi", type=float, required=True, help="measurement angle (rad)")
+    p.add_argument("--phi", type=finite_float, required=True, help="measurement angle (rad)")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("profile", help="CSV of I_phi over [0, pi)")
@@ -296,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve-s2", help="s2 values on the mixed/mixed equality surface")
-    p.add_argument("--g1", type=float, required=True)
-    p.add_argument("--g2", type=float, required=True)
-    p.add_argument("--s1", type=float, required=True)
-    p.add_argument("--theta", type=float, required=True, help="relative angle (rad)")
+    p.add_argument("--g1", type=finite_float, required=True)
+    p.add_argument("--g2", type=finite_float, required=True)
+    p.add_argument("--s1", type=finite_float, required=True)
+    p.add_argument("--theta", type=finite_float, required=True, help="relative angle (rad)")
     p.set_defaults(func=_cmd_solve_s2)
 
     p = sub.add_parser("figure", help="CSV surface data for the reference figures")
     p.add_argument("--which", choices=list(FIGURES), required=True)
-    p.add_argument("--s2-min", type=float, default=1.0)
-    p.add_argument("--s2-max", type=float, default=5.0)
+    p.add_argument("--s2-min", type=finite_float, default=1.0)
+    p.add_argument("--s2-max", type=finite_float, default=5.0)
     p.add_argument("--s2-steps", type=int, default=200)
     p.add_argument("--phi-steps", type=int, default=720)
     p.set_defaults(func=_cmd_figure)
@@ -314,16 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("default", "random"), default="default")
     p.add_argument("--a", help="first state JSON file (overrides --sweep)")
     p.add_argument("--b", help="second state JSON file")
-    p.add_argument("--dim", type=int, default=None, help="Fock truncation")
-    p.add_argument("--count", type=int, default=20, help="random-sweep size")
+    p.add_argument("--dim", type=positive_int, default=None, help="Fock truncation")
+    p.add_argument("--count", type=positive_int, default=20, help="random-sweep size")
     p.add_argument("--seed", type=int, default=0, help="random-sweep seed")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("povm-scan", help="squeezed-POVM overlap vs squeeze degree (CSV)")
     pair_args(p)
-    p.add_argument("--r-max", type=float, default=8.0)
-    p.add_argument("--r-steps", type=int, default=32)
-    p.add_argument("--theta-steps", type=int, default=64)
+    p.add_argument("--r-max", type=finite_float, default=8.0)
+    p.add_argument("--r-steps", type=positive_int, default=32)
+    p.add_argument("--theta-steps", type=positive_int, default=64)
     p.set_defaults(func=_cmd_povm_scan)
 
     return parser

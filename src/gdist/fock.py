@@ -24,7 +24,6 @@ per-dimension eigendecompositions, so importing gdist does not load it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,8 +36,6 @@ LEAKAGE_TOL = 1e-6
 AUTO_LEAKAGE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 MAX_AUTO_DIM = 1024
-MAX_CACHED_STATES = 32
-MAX_CACHED_BYTES = 64 * 2**20
 #: Thermal components lighter than this, relative to the heaviest, are left
 #: out of a state's factor; each moves F or an overlap by about sqrt(1e-20).
 WEIGHT_FLOOR = 1e-20
@@ -73,6 +70,23 @@ class FockOperator:
     def leakage(self) -> float:
         """Probability lost past the truncation (1 - trace, for states)."""
         return 1.0 - float(np.sum(self.populations))
+
+    @cached_property
+    def ladder_moments(self) -> tuple[complex, complex, float]:
+        """<a>, <a^2> and <a a^dag + a^dag a> of the truncated a, from the factor.
+
+        Only two sub-diagonals and the diagonal of rho enter, in O(dim rank):
+        <a> = sum_n sqrt(n) rho_{n,n-1}, <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
+        rho_{n,m} = sum_k L_nk L_mk^*, and the truncated a a^dag + a^dag a is
+        diag(2n + 1) except at the top level, where a a^dag is 0.
+        """
+        f = self.factor
+        n = np.arange(self.dim, dtype=float)
+        mean_a = np.dot(np.sqrt(n[1:]), np.einsum("ij,ij->i", f[1:], f[:-1].conj()))
+        mean_a2 = np.dot(np.sqrt(n[2:] * n[1:-1]), np.einsum("ij,ij->i", f[2:], f[:-2].conj()))
+        number = 2.0 * n + 1.0
+        number[-1] = n[-1]
+        return mean_a, mean_a2, np.dot(number, self.populations)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -166,45 +180,15 @@ def boundary_mass(op: FockOperator) -> float:
     return float(np.sum(op.populations[-window:]))
 
 
-_STATES: OrderedDict[tuple, FockOperator] = OrderedDict()
-
-
-def _state_at(p: GaussianParams, dim: int) -> FockOperator:
-    """The state at truncation ``dim``, from a least-recently-used cache.
-
-    The cache holds at most MAX_CACHED_STATES states and MAX_CACHED_BYTES
-    of their factors, and always keeps the newest state.
-    """
-    key = (p.gamma, p.s, p.theta, p.alpha_x, p.alpha_y, dim)
-    op = _STATES.get(key)
-    if op is not None:
-        _STATES.move_to_end(key)
-        return op
-    op = _STATES[key] = _build_fixed(p, dim)
-    while len(_STATES) > 1:
-        count, size = state_cache_info()
-        if count <= MAX_CACHED_STATES and size <= MAX_CACHED_BYTES:
-            break
-        _STATES.popitem(last=False)
-    return op
-
-
-def state_cache_info() -> tuple[int, int]:
-    """(states, bytes of their factors) held by the state cache."""
-    return len(_STATES), sum(o.factor.nbytes for o in _STATES.values())
-
-
 def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
     """The state at the truncation where it is numerically adequate.
 
     Starts from the energy heuristic (at least ``min_dim``) and doubles until
-    both the trace deficit and the boundary occupancy are negligible.  Every
-    candidate goes through the state cache, so asking again returns the
-    operator built the first time.
+    both the trace deficit and the boundary occupancy are negligible.
     """
     d = max(adequate_dim(p), min_dim, 4)
     while True:
-        op = _state_at(p, d)
+        op = _build_fixed(p, d)
         if op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL:
             return op
         if d >= MAX_AUTO_DIM:
@@ -219,10 +203,13 @@ def build_state(p: GaussianParams, dim: int) -> FockOperator:
     """A displaced squeezed thermal state at truncation ``dim``.
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
-    D, S exponentials of the truncated generators.  Raises TruncationError
-    when leakage exceeds 1e-6; ``auto_state`` grows the truncation instead.
+    D, S exponentials of the truncated generators.  Raises ValueError for
+    dim < 1 and TruncationError when leakage exceeds 1e-6; ``auto_state``
+    grows the truncation instead.
     """
-    op = _state_at(p, dim)
+    if dim < 1:
+        raise ValueError(f"truncation dim must be at least 1, got {dim}")
+    op = _build_fixed(p, dim)
     if op.leakage > LEAKAGE_TOL:
         raise TruncationError(
             f"truncation dim={dim} inadequate: leakage {op.leakage:.3g} > {LEAKAGE_TOL}"
@@ -288,50 +275,36 @@ def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def quadrature_wavefunctions(count: int, grid: np.ndarray) -> np.ndarray:
-    """X_0 eigenfunctions psi_n(x) = 2^{1/4} h_n(sqrt(2) x) (vacuum variance 1/4)."""
-    table = hermite_functions(count, math.sqrt(2.0) * np.asarray(grid, dtype=float))
-    table *= 2.0**0.25
-    return table
-
-
 def quadrature_moments(a: FockOperator, phi: float) -> tuple[float, float]:
-    """Mean and variance of X_phi computed directly from the factor.
+    """Mean and variance of X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 with the truncated a.
 
-    X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 with the truncated a, so only
-    two sub-diagonals and the diagonal of rho enter, in O(dim rank):
-    <a> = sum_n sqrt(n) rho_{n,n-1}, <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
-    rho_{n,m} = sum_k L_nk L_mk^*, and the truncated a a^dag + a^dag a is
-    diag(2n + 1) except at the top level, where a a^dag is 0.
+    Only the phases of <a> and <a^2> depend on phi; the sums themselves are
+    ``FockOperator.ladder_moments``, formed once per state.
     """
-    f = a.factor
-    n = np.arange(a.dim, dtype=float)
-    mean_a = np.dot(np.sqrt(n[1:]), np.einsum("ij,ij->i", f[1:], f[:-1].conj()))
-    mean_a2 = np.dot(np.sqrt(n[2:] * n[1:-1]), np.einsum("ij,ij->i", f[2:], f[:-2].conj()))
-    number = 2.0 * n + 1.0
-    number[-1] = n[-1]
+    mean_a, mean_a2, number = a.ladder_moments
     mean = (np.exp(-1j * phi) * mean_a).real
-    second = 0.25 * (2.0 * (np.exp(-2j * phi) * mean_a2).real + np.dot(number, a.populations))
+    second = 0.25 * (2.0 * (np.exp(-2j * phi) * mean_a2).real + number)
     return float(mean), float(second - mean * mean)
 
 
 def marginal_fock(
-    a: FockOperator, phi: float, grid: np.ndarray, wavefunctions: np.ndarray
+    a: FockOperator, phi: float, grid: np.ndarray, hermite: np.ndarray
 ) -> np.ndarray:
     """Homodyne outcome density on ``grid`` from the number-basis state.
 
-    p(x) = sum_mn G_mn psi_m(x) psi_n(x), psi_n the real quadrature
-    wavefunctions on ``grid`` (a ``quadrature_wavefunctions`` table of at
-    least ``a.dim`` rows), G = Re(rho_mn e^{-i(m-n)phi}) = V V^T with V the
-    factor rotated by e^{-i m phi} as 2 rank real columns.  The dense product
-    costs dim^2 per point whatever the rank (squares of V^T times the table
-    cost 2 rank dim: 9x apart between 1 and 91 columns at dim 150), and its
-    tails can dip below zero by roundoff.  Raises TruncationError when the
+    p(x) = sum_mn G_mn psi_m(x) psi_n(x) with the X_0 eigenfunctions
+    psi_n(x) = 2^{1/4} h_n(sqrt(2) x) (vacuum variance 1/4), so ``hermite``
+    holds h_n on sqrt(2) ``grid`` (at least ``a.dim`` rows) and the 2^{1/4}
+    squared scales the density.  G = Re(rho_mn e^{-i(m-n)phi}) = V V^T with V
+    the factor rotated by e^{-i m phi} as 2 rank real columns.  The dense
+    product costs dim^2 per point whatever the rank (squares of V^T times the
+    table cost 2 rank dim: 9x apart between 1 and 91 columns at dim 150), and
+    its tails can dip below zero by roundoff.  Raises TruncationError when the
     grid mass falls short of 1 by more than 1e-5.
     """
-    h = wavefunctions[: a.dim]
+    h = hermite[: a.dim]
     v = (_row_phases(-phi, a.dim) * a.factor).view(float)
-    density = np.einsum("jk,jk->k", h, (v @ v.T) @ h)
+    density = math.sqrt(2.0) * np.einsum("jk,jk->k", h, (v @ v.T) @ h)
     mass = float(np.trapezoid(density, grid))
     if abs(1.0 - mass) > 1e-5:
         raise TruncationError(
@@ -351,7 +324,7 @@ def default_overlap_grid(a: FockOperator, b: FockOperator, phi: float) -> np.nda
 def overlap_fock(a: FockOperator, b: FockOperator, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne marginals (trapezoidal)."""
     grid = default_overlap_grid(a, b, phi)
-    table = quadrature_wavefunctions(max(a.dim, b.dim), grid)
+    table = hermite_functions(max(a.dim, b.dim), math.sqrt(2.0) * grid)
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))

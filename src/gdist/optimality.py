@@ -79,14 +79,18 @@ class S2Root:
     theta_tilde: float
 
 
+def _thermal(g: float) -> float:
+    """gamma - 1/gamma as (gamma - 1)(gamma + 1)/gamma, exact to rounding as gamma -> 1."""
+    return (g - 1.0) * (g + 1.0) / g
+
+
 def thermal_ratio_sum(g1: float, g2: float) -> float:
     """Symmetric ratio sum of the thermal factors gamma - 1/gamma.
 
     t2/t1 + t1/t2 with ti = gamma_i - 1/gamma_i; >= 2, equal iff g1 = g2.
     Defined for mixed states only (gamma > 1).
     """
-    t1 = g1 - 1.0 / g1
-    t2 = g2 - 1.0 / g2
+    t1, t2 = _thermal(g1), _thermal(g2)
     if t1 <= 0.0 or t2 <= 0.0:
         raise ValueError("thermal_ratio_sum needs gamma > 1 on both sides")
     return t2 / t1 + t1 / t2
@@ -95,12 +99,11 @@ def thermal_ratio_sum(g1: float, g2: float) -> float:
 def _thermal_excess(g1: float, g2: float) -> float:
     """thermal_ratio_sum - 2 = (t1 - t2)^2 / (t1 t2), without cancellation.
 
-    t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)) and t = (g - 1)(g + 1)/g, where the
-    difference of the ratio sum and 2 loses its digits for nearly equal gammas.
+    t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)), where the difference of the ratio sum
+    and 2 loses its digits for nearly equal gammas.
     """
     t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
-    t_prod = (g1 - 1.0) * (g1 + 1.0) / g1 * ((g2 - 1.0) * (g2 + 1.0) / g2)
-    return t_gap * t_gap / t_prod
+    return t_gap * t_gap / (_thermal(g1) * _thermal(g2))
 
 
 def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
@@ -419,6 +422,8 @@ def solve_s2_for_optimality(
     Real roots are returned in descending raw order, canonicalized to s2 >= 1;
     an empty list means the configuration can never reach equality.
     """
+    if not all(map(math.isfinite, (g1, g2, s1, theta_tilde))):
+        raise ValueError("g1, g2, s1 and theta_tilde must be finite")
     tol = default_tol()
     if g1 <= 1.0 + tol or g2 <= 1.0 + tol:
         raise ValueError("equality surface applies to mixed states only (gamma > 1)")

@@ -66,8 +66,8 @@ def oracle_check_pair(
 
     The default truncation starts at 150 and is enlarged automatically when
     a state still has weight near the cutoff there; the state needing less
-    is then rebuilt at the larger truncation.  States come from the bounded
-    cache in ``gdist.fock``, explicit ``dim`` included.
+    is then rebuilt at the larger truncation.  Each call builds its own two
+    states and holds them for the fidelity and every angle.
     """
     if dim is None:
         rho1, rho2 = auto_state(p1, min_dim=150), auto_state(p2, min_dim=150)

@@ -129,6 +129,33 @@ class TestErrorHandling:
         assert code == 2
         assert "squeeze parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "oracle-check --a STATE --b STATE --dim 0",
+            "oracle-check --a STATE --b STATE --dim -3",
+            "solve-s2 --g1 nan --g2 4 --s1 2 --theta 1",
+            "solve-s2 --g1 inf --g2 4 --s1 2 --theta 1",
+            "solve-s2 --g1 2 --g2 4 --s1 nan --theta 1",
+            "overlap --a STATE --b STATE --phi nan",
+            "povm-scan --a STATE --b STATE --theta-steps 0",
+            "povm-scan --a STATE --b STATE --r-steps 0",
+            "oracle-check --sweep random --count 0",
+        ],
+    )
+    def test_invalid_numbers_exit_2(self, tmp_path, argv, capsys):
+        # argparse rejects a bad option value by SystemExit(2) before main's handlers
+        state = write_state(tmp_path, "state.json", GaussianParams(2.0))
+        argv = [state if arg == "STATE" else arg for arg in argv.split()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "error" in err
+        assert not any(word in out for word in ("nan", "NaN", "inf"))
+
 
 class TestOverlapCommands:
     def test_overlap_value(self, tmp_path, vac):

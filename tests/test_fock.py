@@ -17,12 +17,7 @@ from gdist import (
     overlap_fock,
 )
 from gdist import fock
-from gdist.fock import (
-    hermite_functions,
-    quadrature_moments,
-    quadrature_wavefunctions,
-    state_cache_info,
-)
+from gdist.fock import hermite_functions, quadrature_moments
 from gdist.validation import oracle_check_pair
 
 from crosscheck import annihilation, displacement_op, marginal, squeeze_op
@@ -31,8 +26,8 @@ EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
 
 
 def fock_density(rho, phi, grid):
-    """``marginal_fock`` with a wavefunction table of its own."""
-    return marginal_fock(rho, phi, grid, quadrature_wavefunctions(rho.dim, grid))
+    """``marginal_fock`` with a Hermite table of its own."""
+    return marginal_fock(rho, phi, grid, hermite_functions(rho.dim, math.sqrt(2.0) * grid))
 
 
 class TestStructuredExponentials:
@@ -65,7 +60,7 @@ class TestStructuredExponentials:
         assert np.max(np.abs(build_state(p, dim).matrix - rho)) < 1e-12
 
 
-class TestStateCache:
+class TestBuildState:
     def test_auto_state_equals_fresh_build(self):
         for p in (
             GaussianParams(1.0),
@@ -73,32 +68,9 @@ class TestStateCache:
             GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0),  # needs a doubling
         ):
             op = auto_state(p)
-            assert op is auto_state(p)
             fresh = fock._build_fixed(p, op.dim)
             assert np.array_equal(op.factor, fresh.factor)
 
-    def test_cache_bounded_across_sweep(self):
-        rng = np.random.default_rng(3)
-        for _ in range(2 * fock.MAX_CACHED_STATES):
-            p1, p2 = (
-                GaussianParams(rng.uniform(1, 1.5), rng.uniform(1, 1.5), rng.uniform(0, 3))
-                for _ in range(2)
-            )
-            oracle_check_pair(p1, p2, dim=24)
-            count, size = state_cache_info()
-            assert count <= fock.MAX_CACHED_STATES
-            assert size <= fock.MAX_CACHED_BYTES
-
-    def test_cache_bounded_in_bytes(self, monkeypatch):
-        # these states keep all 40 thermal columns, so three factors fill the bound
-        monkeypatch.setattr(fock, "MAX_CACHED_BYTES", 3 * 16 * 40**2)
-        for gamma in np.linspace(2.0, 3.0, 8):
-            assert build_state(GaussianParams(gamma), 40).factor.shape == (40, 40)
-            assert state_cache_info()[1] <= fock.MAX_CACHED_BYTES
-        assert state_cache_info()[0] == 3  # the three newest states
-
-
-class TestBuildState:
     def test_vacuum(self):
         rho = build_state(GaussianParams(1.0), 10)
         expected = np.zeros((10, 10))
@@ -138,6 +110,11 @@ class TestBuildState:
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             build_state(GaussianParams(21.0), 12)  # nbar = 10 in a tiny space
+
+    def test_rejects_empty_truncation(self):
+        for dim in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                build_state(GaussianParams(1.0), dim)
 
     def test_leakage_monotone_in_dim(self):
         p = GaussianParams(4.0, 2.0, 0.3)
@@ -297,11 +274,12 @@ class TestKernelsAgainstDense:
         grid = np.linspace(-9.0, 9.0, 1201)
         for p in self.STATES:
             rho = build_state(p, 120)
-            h = quadrature_wavefunctions(rho.dim, grid)
+            h = hermite_functions(rho.dim, math.sqrt(2.0) * grid)
+            psi = 2.0**0.25 * h  # the X_0 eigenfunctions on the grid
             for phi in (0.0, 0.4, 2.5):
                 phases = np.exp(1j * phi * np.arange(rho.dim))
                 rho_rot = (phases[:, None].conj() * rho.matrix) * phases[None, :]
-                dense = np.einsum("mk,mn,nk->k", h, rho_rot, h, optimize=True).real
+                dense = np.einsum("mk,mn,nk->k", psi, rho_rot, psi, optimize=True).real
                 assert np.max(np.abs(marginal_fock(rho, phi, grid, h) - dense)) < 1e-14
 
 

@@ -757,6 +757,41 @@ class TestSolveS2:
         with pytest.raises(ValueError):
             solve_s2_for_optimality(2.0, 3.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_arguments(self, bad):
+        for k in range(4):
+            args = [2.0, 4.0, 2.0, 1.0]
+            args[k] = bad
+            with pytest.raises(ValueError):
+                solve_s2_for_optimality(*args)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        excess=st.tuples(log_uniform(1e-6, 1e8), log_uniform(1e-6, 1e8)),
+        s1=log_uniform(1.0, 1e6),
+        theta=st.floats(0.0, math.pi, exclude_max=True),
+    )
+    def test_roots_match_mpmath_on_the_wide_domain(self, excess, s1, theta):
+        # gamma - 1 from 1e-6 to 1e8: thermal factors g - 1/g of nearly pure
+        # states are where a subtracted form loses its digits
+        g1, g2 = 1.0 + excess[0], 1.0 + excess[1]
+        with mpmath.workdps(50):
+            t1, t2 = (mpmath.mpf(g) - 1 / mpmath.mpf(g) for g in (g1, g2))
+            ratio_sum = t2 / t1 + t1 / t2
+            c, s = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+            qa = 2 * s1 * s * s + 2 * c * c / s1
+            qc = 2 * s1 * c * c + 2 * s * s / s1
+            quarter = ratio_sum * ratio_sum - qa * qc
+            if abs(quarter) < 1e-2 * ratio_sum * ratio_sum:
+                return  # near tangency the roots are ill-conditioned
+            root = mpmath.sqrt(max(quarter, 0))
+            raw = [(ratio_sum + root) / qa, (ratio_sum - root) / qa] if quarter > 0 else []
+            expected = [v if v >= 1 else 1 / v for v in raw]
+        got = solve_s2_for_optimality(g1, g2, s1, theta)
+        assert len(got) == len(expected)
+        for r, want in zip(got, expected):
+            assert abs(r.s2 / want - 1) <= 1e-14, (g1, g2, s1, theta)
+
     @pytest.mark.parametrize("s1", [1e2, 1e4, 1e6])
     def test_strong_squeezing_roots_exact(self, s1):
         # T = 2.9 for gammas (2, 4); at theta_tilde = 0 the roots are s1 (2.9 +- 2.1) / 2
