@@ -148,9 +148,7 @@ def _cmd_min_overlap(args) -> int:
     if args.method == "both":
         diff = abs(results["analytic"][1] - results["scan"][1])
         if diff > 1e-8:
-            raise ArithmeticError(
-                f"analytic and scan minima disagree by {diff:.3g}"
-            )
+            raise ArithmeticError(f"analytic and scan minima disagree by {diff:.3g}")
     phi_min, val_min = results.get("analytic", results.get("scan"))
     out = {
         "phi_min": phi_min,
@@ -234,7 +232,6 @@ def _random_pairs(count: int, seed: int):
 
 
 def _cmd_oracle_check(args) -> int:
-    print(_ORACLE_HEADER)
     if args.a or args.b:
         if not (args.a and args.b):
             raise StateFormatError("oracle-check needs both --a and --b (or --sweep)")
@@ -248,6 +245,7 @@ def _cmd_oracle_check(args) -> int:
             for label, p1, p2 in _random_pairs(args.count, args.seed)
         ]
     failed = 0
+    print(_ORACLE_HEADER)  # only once every row is computed, so a bad input prints nothing
     for row in rows:
         print(_oracle_row_csv(row))
         failed += 0 if row.passed else 1
@@ -352,12 +350,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but never the user's input
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        StateFormatError,
-        NonPhysicalStateError,
-        UnsupportedPairError,
-        ValueError,
-    ) as exc:
+    except (StateFormatError, NonPhysicalStateError, UnsupportedPairError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -85,9 +85,7 @@ def oracle_check_pair(
         oracle = overlap_fock(rho1, rho2, phi)
         overlap_dev = max(overlap_dev, abs(closed - oracle))
     passed = fid_dev <= ORACLE_TOL and overlap_dev <= ORACLE_TOL
-    return OracleCheckRow(
-        label, p1, p2, dim, fid_closed, fid_fock, fid_dev, overlap_dev, passed
-    )
+    return OracleCheckRow(label, p1, p2, dim, fid_closed, fid_fock, fid_dev, overlap_dev, passed)
 
 
 def run_oracle_sweep(dim: int | None = None) -> list[OracleCheckRow]:

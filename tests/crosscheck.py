@@ -10,7 +10,9 @@ quantity no command prints, so the tests can compare the two:
 - the Weyl characteristic function and the Wigner function;
 - the squeeze mismatch D in its (s + 1/s)(s' + 1/s') form;
 - the Husimi/POVM outcome distributions and the truncated operators that
-  the Fock-oracle tests compare against scipy's expm.
+  the Fock-oracle tests compare against scipy's expm;
+- the Fock-oracle overlap on a fixed 4001-point grid, the reference for the
+  oracle's own grid sized by the truncation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from gdist.fock import (
     _displacement_eigen,
     _orthogonal_core,
     _squeeze_blocks,
+    default_overlap_grid,
+    hermite_functions,
+    marginal_fock,
 )
 from gdist.optimality import thermal_ratio_sum
 from gdist.povm import _q_moments, _squeeze_matrix
@@ -406,6 +411,16 @@ def husimi_fock(a: FockOperator, alpha: complex) -> float:
     """Husimi Q value <alpha|rho|alpha>/pi from the number basis."""
     vec = coherent_vector(alpha, a.dim)
     return float((vec.conj() @ a.matrix @ vec).real / math.pi)
+
+
+def overlap_fock_4001(a: FockOperator, b: FockOperator, phi: float) -> float:
+    """Bhattacharyya overlap of the oracle marginals on 4001 points of the default span."""
+    default = default_overlap_grid(a, b, phi)
+    grid = np.linspace(default[0], default[-1], 4001)
+    table = hermite_functions(max(a.dim, b.dim), math.sqrt(2.0) * grid)
+    pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
+    pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
+    return float(np.trapezoid(np.sqrt(pa * pb), grid))
 
 
 # ---------------------------------------------------------------------------

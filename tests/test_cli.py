@@ -335,6 +335,19 @@ class TestOracleCheckCommand:
         assert code == 1
         assert "numeric failure: SVD did not converge" in capsys.readouterr().err
 
+    def test_missing_state_file_prints_nothing(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out = run_cli(["oracle-check", "--a", missing, "--b", missing])
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sweep_passes(self, seed):
+        # automatic truncation, as ``oracle-check --sweep random`` runs by default
+        code, out = run_cli(["oracle-check", "--sweep", "random", "--seed", str(seed)])
+        assert code == 0
+        assert len(out.splitlines()) == 21
+
     def test_random_sweep_seeded(self):
         args = ["oracle-check", "--sweep", "random", "--count", "2", "--seed", "7", "--dim", "150"]
         code, first = run_cli(args)

@@ -18,9 +18,9 @@ from gdist import (
 )
 from gdist import fock
 from gdist.fock import hermite_functions, quadrature_moments
-from gdist.validation import oracle_check_pair
+from gdist.validation import DEFAULT_ANGLES, oracle_check_pair, stratified_pairs
 
-from crosscheck import annihilation, displacement_op, marginal, squeeze_op
+from crosscheck import annihilation, displacement_op, marginal, overlap_fock_4001, squeeze_op
 
 EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
 
@@ -313,6 +313,32 @@ class TestOverlapFock:
         b = build_state(p2, 150)
         for phi in (0.0, 1.0, 2.5):
             assert abs(overlap_fock(a, b, phi) - overlap_at(p1, p2, phi)) < 1e-6
+
+    def test_grid_matches_4001_points(self):
+        # case139 of the default sweep has its widest span (60: the gamma = s = 5
+        # state along its wide axis) and its largest grid-induced move at dim 300;
+        # then a squeezed thermal against a squeezed displaced state, and vacuum
+        # against coherent at a small truncation that still holds the state
+        _, q1, q2 = stratified_pairs()[139]
+        cases = (
+            (q1, q2, 300),
+            (GaussianParams(3.0, 2.0, 0.4), GaussianParams(1.0, 5.0, 1.1, 0.5, -0.3), 150),
+            (GaussianParams(1.0), GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0), 20),
+        )
+        for p1, p2, dim in cases:
+            a, b = build_state(p1, dim), build_state(p2, dim)
+            for phi in DEFAULT_ANGLES:
+                assert abs(overlap_fock(a, b, phi) - overlap_fock_4001(a, b, phi)) < 1e-11
+
+    def test_grid_size_follows_truncation(self):
+        p1, p2 = GaussianParams(1.0), GaussianParams(3.0, 2.0, 0.4, 0.5, 0.0)
+        intervals = []
+        for dim in (40, 160):
+            grid = fock.default_overlap_grid(build_state(p1, dim), build_state(p2, dim), 0.3)
+            assert grid.size == math.ceil(2.0 * (grid[-1] - grid[0]) * math.sqrt(dim)) + 1
+            intervals.append(grid.size - 1)
+        # the same span at four times the truncation: twice the points
+        assert abs(intervals[1] - 2 * intervals[0]) <= 2
 
 
 class TestOracleCheckPair:
