@@ -16,9 +16,6 @@ theta}), U (a^dag - a) U^dag = e^{i theta} a^dag - e^{-i theta} a, and
 a^dag^2 - a^2 splits into even and odd parity blocks of the same shape.  Each
 such matrix A is i V^dag T V with V = diag(i^k) and T real symmetric
 tridiagonal, so exp(tA) follows from the eigenpairs of T in real arithmetic.
-
-scipy (``eigh_tridiagonal``) is imported on first use, inside the cached
-per-dimension eigendecompositions, so importing gdist does not load it.
 """
 
 from __future__ import annotations
@@ -99,11 +96,10 @@ class FockOperator:
 def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, q) of the real symmetric tridiagonal with zero diagonal.
 
-    Row k of q is signed by (-1)^(k//2), as ``_orthogonal_core`` needs.
+    ``eigh`` reads the lower triangle, which holds the whole tridiagonal.  Row k
+    of q is signed by (-1)^(k//2), as ``_orthogonal_core`` needs.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    w, q = eigh_tridiagonal(np.zeros(offdiag.size + 1), offdiag)
+    w, q = np.linalg.eigh(np.diag(offdiag, -1))
     q *= (-1.0) ** (np.arange(w.size) // 2)[:, None]
     w.setflags(write=False)
     q.setflags(write=False)

@@ -14,8 +14,10 @@ import numpy as np
 
 from .states import GaussianParams, wrap_angle
 
-#: Grid of the scan minimizer over [0, pi), before golden-section refinement.
+#: Points per pass of the scan minimizer: the grid over [0, pi), then each
+#: zoomed grid around the best angle so far.
 _SCAN_POINTS = 4096
+_SCAN_PASSES = 3
 
 
 def _width(p: GaussianParams, c, s):
@@ -54,27 +56,24 @@ def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np
 
 
 def minimize_overlap_scan(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
-    """Scan minimizer: dense grid over [0, pi) plus golden-section refinement.
+    """Scan minimizer: a dense grid over [0, pi), refined by two zoomed grids.
 
-    Returns (phi_min, overlap_min) with phi refined to about 1e-10.  Serves
-    as the independent verifier of both minimizers in ``optimality`` (the
-    analytic same-mean route and the companion-matrix route); no package
-    code path other than ``min-overlap --method scan|both`` calls it.
+    Each zoomed grid spans one spacing of the previous grid on either side of
+    the best angle so far, so the spacing falls from 7.7e-4 to 3.8e-7 to
+    1.9e-10.  Returns (phi_min, overlap_min), the lowest grid value seen, a
+    tie going to the finer grid.  Serves as the independent verifier of both
+    minimizers in ``optimality`` (the analytic same-mean route and the
+    companion-matrix route); no package code path other than
+    ``min-overlap --method scan|both`` calls it.
     """
-    from scipy.optimize import minimize_scalar
-
-    phis = np.linspace(0.0, math.pi, _SCAN_POINTS, endpoint=False)
-    vals = overlap_grid(p1, p2, phis)
-    k = int(np.argmin(vals))
-    step = math.pi / _SCAN_POINTS
-    lo, hi = phis[k] - step, phis[k] + step
-
-    def objective(phi):
-        return overlap_at(p1, p2, phi)
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    phi_min = wrap_angle(float(res.x))
-    val = float(res.fun)
-    if val <= vals[k]:
-        return phi_min, val
-    return float(phis[k]), float(vals[k])
+    lo, span = 0.0, math.pi
+    phi_min, val_min = 0.0, math.inf
+    for _ in range(_SCAN_PASSES):
+        phis = np.linspace(lo, lo + span, _SCAN_POINTS, endpoint=False)
+        vals = overlap_grid(p1, p2, phis)
+        k = int(np.argmin(vals))
+        if vals[k] <= val_min:
+            phi_min, val_min = float(phis[k]), float(vals[k])
+        step = span / _SCAN_POINTS
+        lo, span = phi_min - step, 2.0 * step
+    return wrap_angle(phi_min), val_min

@@ -382,10 +382,14 @@ class TestColdImports:
             ["classify", *pair],
             ["classify", "--a", a, "--b", c],
             ["overlap", *pair, "--phi", "0.7"],
+            ["min-overlap", *pair, "--method", "both"],
+            ["min-overlap", "--a", a, "--b", c, "--method", "both"],
             ["solve-s2", "--g1", "2.0", "--g2", "4.0", "--s1", "2.0", "--theta", "1.0471975511965976"],
             ["profile", *pair, "--steps", "16"],
             ["povm-scan", *pair, "--r-steps", "4", "--theta-steps", "8"],
             ["figure", "--which", "fig4", "--s2-steps", "3", "--phi-steps", "8"],
+            ["oracle-check", *pair],
+            ["oracle-check", "--sweep", "random", "--count", "1"],
         ]
         code = (
             "import contextlib, io, sys\n"
@@ -393,22 +397,19 @@ class TestColdImports:
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert gdist.cli.main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "G = gdist.GaussianParams\n"
             "p1, p2 = G(1.5, 2.0, 0.3), G(2.0, 1.5, 1.1, 0.4, -0.2)\n"
             "fid = gdist.fidelity_fock(gdist.build_state(p1, 80), gdist.build_state(p2, 80))\n"
             "print(fid - gdist.fidelity_params(p1, p2).fidelity)\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        loaded, fid_dev, linalg_loaded = proc.stdout.splitlines()
-        assert loaded == "[]"
-        # the deferred import inside the Fock oracle still runs on first use
+        fid_dev, loaded = proc.stdout.splitlines()
         assert abs(float(fid_dev)) < 1e-8
-        assert linalg_loaded == "True"
+        assert loaded == "[]"
 
 
 class TestConsoleScript:

@@ -22,7 +22,7 @@ from gdist.validation import DEFAULT_ANGLES, oracle_check_pair, stratified_pairs
 
 from crosscheck import annihilation, displacement_op, marginal, overlap_fock_4001, squeeze_op
 
-EXPONENTIAL_DIMS = (2, 3, 7, 8, 150, 301)
+EXPONENTIAL_DIMS = (1, 2, 3, 7, 8, 150, 301)
 
 
 def fock_density(rho, phi, grid):

@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 
 import mpmath
@@ -304,20 +302,6 @@ class TestMinimizeOverlapGeneral:
     def test_zero_offset_matches_analytic(self, pair):
         analytic = minimize_overlap(*pair)[1]
         assert minimize_overlap_general(*pair)[1] == pytest.approx(analytic, abs=1e-14)
-
-    def test_classify_leaves_scipy_optimize_unloaded(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
-        code = (
-            "import sys, gdist\n"
-            "G = gdist.GaussianParams\n"
-            "v = gdist.classify_pair(G(2.0), G(3.0, 1.0, 0.0, 0.5, -0.3))\n"
-            "assert v.kind is gdist.PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, v\n"
-            "print('scipy.optimize' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
 
 
 class TestEqualityEquation:
@@ -801,26 +785,25 @@ class TestSolveS2:
         assert math.isclose(roots[1].s2, 0.4 * s1, rel_tol=1e-14)
 
 
-def scan_phi_below_zero(monkeypatch):
-    """The scan's angle when its bounded search around phi = 0 stops a hair below 0."""
-    import scipy.optimize
+def scan_phi_below_zero():
+    """The scan's angle on a pair whose minimum sits at phi = 0.
 
-    # a value below every grid value, so the scan keeps the refined angle
-    result = scipy.optimize.OptimizeResult(x=-1e-17, fun=0.0)
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *args, **kwargs: result)
+    The zoomed grids start below 0, and the finest one finds its lowest value
+    about 2e-8 below 0, so the scan reduces a negative angle.
+    """
     p1, p2 = GaussianParams(2.0, 1.2, 0.0), GaussianParams(1.5, 2.0, math.pi / 2)
     return minimize_overlap_scan(p1, p2)[0]
 
 
 ANGLE_ROUTES = {
-    "same-mean minimizer": lambda _: minimize_overlap(
+    "same-mean minimizer": lambda: minimize_overlap(
         GaussianParams(2.0, 1.2, 0.0), GaussianParams(1.5, 2.0, math.pi / 2)
     )[0],
-    "round-pair witness": lambda _: classify_pair(
+    "round-pair witness": lambda: classify_pair(
         GaussianParams(2.0), GaussianParams(2.0, alpha_x=1.0, alpha_y=-1e-17)
     ).witness_phi,
-    "s2 root": lambda _: solve_s2_for_optimality(2.0, 4.0, 2.0, -1e-17)[0].theta_tilde,
-    "canonicalized s2 root": lambda _: solve_s2_for_optimality(
+    "s2 root": lambda: solve_s2_for_optimality(2.0, 4.0, 2.0, -1e-17)[0].theta_tilde,
+    "canonicalized s2 root": lambda: solve_s2_for_optimality(
         2.0, 4.0, 2.0, math.nextafter(-math.pi / 2, -math.inf)
     )[1].theta_tilde,
     "scan": scan_phi_below_zero,
@@ -828,10 +811,10 @@ ANGLE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", ANGLE_ROUTES)
-def test_reported_angle_in_half_open_period(route, monkeypatch):
+def test_reported_angle_in_half_open_period(route):
     # each route reduces an angle a hair below 0 (or below -pi/2 before the
     # quarter turn); x % pi rounds such an angle up to pi itself
-    angle = ANGLE_ROUTES[route](monkeypatch)
+    angle = ANGLE_ROUTES[route]()
     assert 0.0 <= angle < math.pi
 
 
