@@ -5,6 +5,7 @@ min-overlap, classify, solve-s2), the figure-data sweeps, the Fock-oracle
 validation, and the POVM-family scan.  All angles are radians; output floats
 use the shortest round-trip representation, so CSV output is byte-identical
 between runs.  Exit codes: 0 success, 2 invalid input, 1 numeric failure.
+``fidelity``, ``overlap`` and ``solve-s2`` on params-form states never load numpy.
 """
 
 from __future__ import annotations
@@ -14,21 +15,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .errors import (
-    GdistError,
-    NonPhysicalStateError,
-    StateFormatError,
-    TruncationError,
-    UnsupportedPairError,
-)
-from .fidelity import fidelity_params
+from .errors import GdistError, NonPhysicalStateError, StateFormatError, UnsupportedPairError
+from .fidelity import fidelity_params, solve_s2_for_optimality
 from .homodyne import minimize_overlap_scan, overlap_at, overlap_grid
-from .optimality import classify_pair, minimize_overlap, solve_s2_for_optimality
-from .povm import conjecture_scan
 from .states import GaussianParams, load_state
-from .validation import oracle_check_pair, run_oracle_sweep
 
 
 #: Fixed parameters (gamma1, gamma2, s1, theta_tilde) of each figure sweep, by --which.
@@ -67,6 +57,7 @@ def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -
     norm_diff is the fractional excess (I_phi - F) / F; the surface touches
     zero exactly where homodyne detection attains the fidelity.
     """
+    import numpy as np
     stream = sys.stdout if stream is None else stream
     g1, g2, s1, theta_tilde = FIGURES[which]
     lo, hi, steps = s2_range
@@ -125,6 +116,7 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    import numpy as np
     p1, p2 = _load_pair(args)
     if args.steps < 2:
         raise ValueError("profile needs at least 2 steps")
@@ -138,6 +130,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_min_overlap(args) -> int:
+    from .optimality import minimize_overlap
     p1, p2 = _load_pair(args)
     fid = fidelity_params(p1, p2).fidelity
     results = {}
@@ -164,6 +157,7 @@ def _cmd_min_overlap(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .optimality import classify_pair
     p1, p2 = _load_pair(args)
     verdict = classify_pair(p1, p2)
     print(
@@ -218,6 +212,7 @@ def _oracle_row_csv(row) -> str:
 
 
 def _random_pairs(count: int, seed: int):
+    import numpy as np
     rng = np.random.default_rng(seed)
     pairs = []
     for idx in range(count):
@@ -232,6 +227,7 @@ def _random_pairs(count: int, seed: int):
 
 
 def _cmd_oracle_check(args) -> int:
+    from .validation import oracle_check_pair, run_oracle_sweep
     if args.a or args.b:
         if not (args.a and args.b):
             raise StateFormatError("oracle-check needs both --a and --b (or --sweep)")
@@ -256,6 +252,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_povm_scan(args) -> int:
+    import numpy as np
+    from .povm import conjecture_scan
     p1, p2 = _load_pair(args)
     r_grid = np.linspace(0.0, args.r_max, args.r_steps)
     theta_grid = np.linspace(0.0, math.pi, args.theta_steps, endpoint=False)
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="CSV of I_phi over [0, pi)")
     pair_args(p)
-    p.add_argument("--steps", type=int, default=720)
+    p.add_argument("--steps", type=positive_int, default=720)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("min-overlap", help="minimize I_phi over the angle")
@@ -320,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=list(FIGURES), required=True)
     p.add_argument("--s2-min", type=finite_float, default=1.0)
     p.add_argument("--s2-max", type=finite_float, default=5.0)
-    p.add_argument("--s2-steps", type=int, default=200)
-    p.add_argument("--phi-steps", type=int, default=720)
+    p.add_argument("--s2-steps", type=positive_int, default=200)
+    p.add_argument("--phi-steps", type=positive_int, default=720)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("oracle-check", help="closed forms vs the Fock oracle (CSV)")
@@ -347,15 +345,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but never the user's input
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
     except (StateFormatError, NonPhysicalStateError, UnsupportedPairError, ValueError) as exc:
+        linalg = sys.modules.get("numpy.linalg")  # no LinAlgError before it loads
+        if linalg is not None and isinstance(exc, linalg.LinAlgError):  # never the user's input
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
-    except (TruncationError, GdistError, ArithmeticError) as exc:
+    except (GdistError, ArithmeticError) as exc:  # TruncationError is a GdistError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # never traceback on user input

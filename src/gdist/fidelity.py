@@ -25,6 +25,8 @@ log F = -q - log1p(e/2)/2 and 1 - F = -expm1(log F) keep their digits however
 close the states are: no identical-state rule, and no clamp (F <= 1 as e, q >= 0).
 ``fidelity_params`` is the one entry point; a covariance-form state reaches it
 through ``states.params_from_covariance``, which checks that it is physical.
+The mixed/mixed equality surface D = 2T reads D - 4 = 2 (T - 2), T - 2 the
+thermal excess, so ``solve_s2_for_optimality`` solves it here, beside D - 4.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import GaussianParams
+from .states import GaussianParams, default_tol, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,11 @@ def _adjugate_form(p: GaussianParams, dx: float, dy: float) -> float:
     return p.gamma * (along * along / p.s + p.s * across * across)
 
 
-def _fidelity(p1: GaussianParams, p2: GaussianParams, dx: float, dy: float) -> FidelityReport:
-    """The one fidelity kernel, for mean difference (dx, dy); see the module docstring."""
+def _fidelity(
+    p1: GaussianParams, p2: GaussianParams, dx: float, dy: float, excess: float
+) -> FidelityReport:
+    """The one fidelity kernel, for mean difference (dx, dy) and D - 4 = ``excess``."""
     g1, g2 = p1.gamma, p2.gamma
-    excess = squeeze_excess(p1, p2)
     delta_cap = (g1 + g2) ** 2 + 0.5 * g1 * g2 * excess
     delta_low = (g1 - 1.0) * (g1 + 1.0) * ((g2 - 1.0) * (g2 + 1.0))
     exponent = 0.0 - (_adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)) / delta_cap
@@ -112,4 +115,92 @@ def _fidelity(p1: GaussianParams, p2: GaussianParams, dx: float, dy: float) -> F
 
 def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
     """Fidelity for arbitrary parameterized states (any means); exactly 1 for identical states."""
-    return _fidelity(p1, p2, p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    return _fidelity(p1, p2, dx, dy, squeeze_excess(p1, p2))
+
+
+@dataclass(frozen=True)
+class S2Root:
+    """Solution of the mixed/mixed equality surface, canonicalized to s2 >= 1.
+
+    A sub-unity raw root is reported as (1/root, theta_tilde + pi/2); both
+    describe the same second state.
+    """
+
+    s2: float
+    theta_tilde: float
+
+
+def _thermal(g: float) -> float:
+    """gamma - 1/gamma as (gamma - 1)(gamma + 1)/gamma, exact to rounding as gamma -> 1."""
+    return (g - 1.0) * (g + 1.0) / g
+
+
+def thermal_ratio_sum(g1: float, g2: float) -> float:
+    """Symmetric ratio sum of the thermal factors gamma - 1/gamma.
+
+    t2/t1 + t1/t2 with ti = gamma_i - 1/gamma_i; >= 2, equal iff g1 = g2.
+    Defined for mixed states only (gamma > 1).
+    """
+    t1, t2 = _thermal(g1), _thermal(g2)
+    if t1 <= 0.0 or t2 <= 0.0:
+        raise ValueError("thermal_ratio_sum needs gamma > 1 on both sides")
+    return t2 / t1 + t1 / t2
+
+
+def _thermal_excess(g1: float, g2: float) -> float:
+    """thermal_ratio_sum - 2 = (t1 - t2)^2 / (t1 t2), without cancellation.
+
+    t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)), where the difference of the ratio sum
+    and 2 loses its digits for nearly equal gammas.
+    """
+    t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
+    return t_gap * t_gap / (_thermal(g1) * _thermal(g2))
+
+
+def solve_s2_for_optimality(g1: float, g2: float, s1: float, theta_tilde: float) -> list[S2Root]:
+    """Squeezing degrees s2 putting a mixed/mixed pair on the equality surface.
+
+    D(s1, s2, theta_tilde) = 2 T, T = thermal_ratio_sum, becomes after
+    multiplying by s2 the quadratic qa s2^2 - 2 T s2 + qc = 0 with
+
+        qa = 2 s1 sin^2(theta_tilde) + 2 cos^2(theta_tilde) / s1,
+        qc = 2 s1 cos^2(theta_tilde) + 2 sin^2(theta_tilde) / s1,
+
+    and qa qc = 4 + ((s1 - 1/s1) sin 2 theta_tilde)^2, so a quarter of its
+    discriminant is (T - 2)(T + 2) - ((s1 - 1/s1) sin 2 theta_tilde)^2.  The
+    larger root is (T + sqrt(disc/4)) / qa and the smaller follows from the
+    product of the roots, qc / qa, so neither cancels (Goldberg 1991).
+
+    Real roots are returned in descending raw order, canonicalized to s2 >= 1;
+    an empty list means the configuration can never reach equality.
+    """
+    if not all(map(math.isfinite, (g1, g2, s1, theta_tilde))):
+        raise ValueError("g1, g2, s1 and theta_tilde must be finite")
+    tol = default_tol()
+    if g1 <= 1.0 + tol or g2 <= 1.0 + tol:
+        raise ValueError("equality surface applies to mixed states only (gamma > 1)")
+    if s1 < 1.0:
+        raise ValueError("s1 must be canonical (>= 1)")
+    ratio_sum = thermal_ratio_sum(g1, g2)
+    cos_t, sin_t = math.cos(theta_tilde), math.sin(theta_tilde)
+    qa = 2.0 * s1 * sin_t * sin_t + 2.0 * cos_t * cos_t / s1
+    qc = 2.0 * s1 * cos_t * cos_t + 2.0 * sin_t * sin_t / s1
+    skew = (s1 - 1.0) * (s1 + 1.0) / s1 * math.sin(2.0 * theta_tilde)
+    quarter = _thermal_excess(g1, g2) * (ratio_sum + 2.0) - skew * skew
+    # the tangency decisions on the full discriminant, 4 quarter: below
+    # -1e-12 T^2 no real root, a square root below 1e-15 T one double root
+    if quarter < -0.25e-12 * ratio_sum * ratio_sum:
+        return []
+    root = math.sqrt(max(quarter, 0.0))
+    big = (ratio_sum + root) / qa
+    raw = [big]
+    if root > 0.5e-15 * ratio_sum:
+        raw.append(qc / (qa * big))
+    out = []
+    for value in raw:
+        if value >= 1.0:
+            out.append(S2Root(value, wrap_angle(theta_tilde)))
+        else:
+            out.append(S2Root(1.0 / value, wrap_angle(theta_tilde + math.pi / 2.0)))
+    return out

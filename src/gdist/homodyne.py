@@ -9,10 +9,12 @@ a_phi the projection of the mean amplitude onto the measurement direction.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .states import GaussianParams, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Points per pass of the scan minimizer: the grid over [0, pi), then each
 #: zoomed grid around the best angle so far.
@@ -46,6 +48,7 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
 
 def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np.ndarray:
     """Vectorized I_phi over an array of angles."""
+    import numpy as np
     phis = np.asarray(phis, dtype=float)
     d1 = phis - p1.theta
     d2 = phis - p2.theta
@@ -66,6 +69,7 @@ def minimize_overlap_scan(p1: GaussianParams, p2: GaussianParams) -> tuple[float
     companion-matrix route); no package code path other than
     ``min-overlap --method scan|both`` calls it.
     """
+    import numpy as np
     lo, span = 0.0, math.pi
     phi_min, val_min = 0.0, math.inf
     for _ in range(_SCAN_PASSES):

@@ -18,7 +18,8 @@ polishes them with safeguarded Newton steps, with no grid.
 ``classify_pair`` is the one classifier.  It reads the tolerance
 (``default_tol``, overridable through GDIST_TOL) once and decides every
 gate of the verdict with it: equal means, round states, identical states,
-purity, equal thermal widths and the mixed/mixed equality surface.
+purity, equal thermal widths and the mixed/mixed equality surface, whose
+solver ``solve_s2_for_optimality`` lives in ``fidelity`` and needs no numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedPairError
-from .fidelity import _fidelity, fidelity_params, squeeze_excess
+from .fidelity import (
+    _fidelity, _thermal_excess, fidelity_params, squeeze_excess, thermal_ratio_sum
+)
 from .states import (
     GaussianParams,
     default_tol,
@@ -67,45 +70,6 @@ class OptimalityVerdict:
     condition_residual: float | None = None
 
 
-@dataclass(frozen=True)
-class S2Root:
-    """Solution of the mixed/mixed equality surface, canonicalized to s2 >= 1.
-
-    A sub-unity raw root is reported as (1/root, theta_tilde + pi/2); both
-    describe the same second state.
-    """
-
-    s2: float
-    theta_tilde: float
-
-
-def _thermal(g: float) -> float:
-    """gamma - 1/gamma as (gamma - 1)(gamma + 1)/gamma, exact to rounding as gamma -> 1."""
-    return (g - 1.0) * (g + 1.0) / g
-
-
-def thermal_ratio_sum(g1: float, g2: float) -> float:
-    """Symmetric ratio sum of the thermal factors gamma - 1/gamma.
-
-    t2/t1 + t1/t2 with ti = gamma_i - 1/gamma_i; >= 2, equal iff g1 = g2.
-    Defined for mixed states only (gamma > 1).
-    """
-    t1, t2 = _thermal(g1), _thermal(g2)
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise ValueError("thermal_ratio_sum needs gamma > 1 on both sides")
-    return t2 / t1 + t1 / t2
-
-
-def _thermal_excess(g1: float, g2: float) -> float:
-    """thermal_ratio_sum - 2 = (t1 - t2)^2 / (t1 t2), without cancellation.
-
-    t1 - t2 = (g1 - g2)(1 + 1/(g1 g2)), where the difference of the ratio sum
-    and 2 loses its digits for nearly equal gammas.
-    """
-    t_gap = (g1 - g2) * (1.0 + 1.0 / (g1 * g2))
-    return t_gap * t_gap / (_thermal(g1) * _thermal(g2))
-
-
 def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Extremal values (mu_minus, mu_plus) of B2/B1 over the angle.
 
@@ -116,8 +80,11 @@ def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float
     ellipses (D -> 4) keep their digits; mu_minus comes from the product
     mu_plus mu_minus = ratio^2.
     """
-    ratio = p2.gamma / p1.gamma
-    excess = squeeze_excess(p1, p2)
+    return _ratio_extremes(p2.gamma / p1.gamma, squeeze_excess(p1, p2))
+
+
+def _ratio_extremes(ratio: float, excess: float) -> tuple[float, float]:
+    """``ratio_extremes`` from gamma2/gamma1 and D - 4."""
     big = 4.0 + excess + math.sqrt(excess * (excess + 8.0))  # D + sqrt(D^2 - 16)
     return ratio * 4.0 / big, ratio * big / 4.0
 
@@ -159,9 +126,11 @@ def _extreme_overlaps(mu_plus: float, mu_minus: float) -> tuple[float, float]:
     )
 
 
-def _minimize_same_mean(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
-    """Analytic route of ``minimize_overlap``; the caller has checked the means."""
-    mu_minus, mu_plus = ratio_extremes(p1, p2)
+def _minimize_same_mean(
+    p1: GaussianParams, p2: GaussianParams, excess: float
+) -> tuple[float, float]:
+    """Analytic route of ``minimize_overlap``, given D - 4; the caller has checked the means."""
+    mu_minus, mu_plus = _ratio_extremes(p2.gamma / p1.gamma, excess)
     f_plus, f_minus = _extreme_overlaps(mu_plus, mu_minus)
     if f_plus <= f_minus:
         mu, val = mu_plus, f_plus
@@ -180,7 +149,7 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     """
     if not means_equal(p1, p2, default_tol()):
         return minimize_overlap_general(p1, p2)
-    return _minimize_same_mean(p1, p2)
+    return _minimize_same_mean(p1, p2, squeeze_excess(p1, p2))
 
 
 #: The slope numerator is sampled at u_k = 2 pi k / 9 (u = 2 phi).  _TRIG
@@ -376,8 +345,9 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     """
     if states_equal(p1, p2, tol):
         return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
-    fid = _fidelity(p1, p2, 0.0, 0.0).fidelity
-    phi_min, val_min = _minimize_same_mean(p1, p2)
+    excess = squeeze_excess(p1, p2)  # D - 4, shared by F, the minimum and the residual
+    fid = _fidelity(p1, p2, 0.0, 0.0, excess).fidelity
+    phi_min, val_min = _minimize_same_mean(p1, p2, excess)
     gap = val_min - fid
     pure1 = p1.is_pure(tol)
     pure2 = p2.is_pure(tol)
@@ -390,7 +360,7 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     ratio_sum = thermal_ratio_sum(p1.gamma, p2.gamma)
     # D - 2T = (D - 4) - 2 (T - 2), both excesses free of cancellation, where
     # D - 2T itself loses s1 s2 eps for nearly identical strongly squeezed pairs
-    residual = squeeze_excess(p1, p2) - 2.0 * _thermal_excess(p1.gamma, p2.gamma)
+    residual = excess - 2.0 * _thermal_excess(p1.gamma, p2.gamma)
     if abs(residual) < tol * ratio_sum:
         return OptimalityVerdict(
             PairClass.MIXED_MIXED_OPTIMAL,
@@ -401,56 +371,6 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     return OptimalityVerdict(
         PairClass.MIXED_MIXED_NOT_OPTIMAL, gap, condition_residual=residual
     )
-
-
-def solve_s2_for_optimality(
-    g1: float, g2: float, s1: float, theta_tilde: float
-) -> list[S2Root]:
-    """Squeezing degrees s2 putting a mixed/mixed pair on the equality surface.
-
-    D(s1, s2, theta_tilde) = 2 T, T = thermal_ratio_sum, becomes after
-    multiplying by s2 the quadratic qa s2^2 - 2 T s2 + qc = 0 with
-
-        qa = 2 s1 sin^2(theta_tilde) + 2 cos^2(theta_tilde) / s1,
-        qc = 2 s1 cos^2(theta_tilde) + 2 sin^2(theta_tilde) / s1,
-
-    and qa qc = 4 + ((s1 - 1/s1) sin 2 theta_tilde)^2, so a quarter of its
-    discriminant is (T - 2)(T + 2) - ((s1 - 1/s1) sin 2 theta_tilde)^2.  The
-    larger root is (T + sqrt(disc/4)) / qa and the smaller follows from the
-    product of the roots, qc / qa, so neither cancels (Goldberg 1991).
-
-    Real roots are returned in descending raw order, canonicalized to s2 >= 1;
-    an empty list means the configuration can never reach equality.
-    """
-    if not all(map(math.isfinite, (g1, g2, s1, theta_tilde))):
-        raise ValueError("g1, g2, s1 and theta_tilde must be finite")
-    tol = default_tol()
-    if g1 <= 1.0 + tol or g2 <= 1.0 + tol:
-        raise ValueError("equality surface applies to mixed states only (gamma > 1)")
-    if s1 < 1.0:
-        raise ValueError("s1 must be canonical (>= 1)")
-    ratio_sum = thermal_ratio_sum(g1, g2)
-    cos_t, sin_t = math.cos(theta_tilde), math.sin(theta_tilde)
-    qa = 2.0 * s1 * sin_t * sin_t + 2.0 * cos_t * cos_t / s1
-    qc = 2.0 * s1 * cos_t * cos_t + 2.0 * sin_t * sin_t / s1
-    skew = (s1 - 1.0) * (s1 + 1.0) / s1 * math.sin(2.0 * theta_tilde)
-    quarter = _thermal_excess(g1, g2) * (ratio_sum + 2.0) - skew * skew
-    # the tangency decisions on the full discriminant, 4 quarter: below
-    # -1e-12 T^2 no real root, a square root below 1e-15 T one double root
-    if quarter < -0.25e-12 * ratio_sum * ratio_sum:
-        return []
-    root = math.sqrt(max(quarter, 0.0))
-    big = (ratio_sum + root) / qa
-    raw = [big]
-    if root > 0.5e-15 * ratio_sum:
-        raw.append(qc / (qa * big))
-    out = []
-    for value in raw:
-        if value >= 1.0:
-            out.append(S2Root(value, wrap_angle(theta_tilde)))
-        else:
-            out.append(S2Root(1.0 / value, wrap_angle(theta_tilde + math.pi / 2.0)))
-    return out
 
 
 def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:

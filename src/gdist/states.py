@@ -5,9 +5,10 @@ alpha_y}`` (thermal width, squeezing degree, squeezing direction, mean
 amplitude) or a 2x2 covariance matrix plus mean vector.  The normalization is
 fixed so the vacuum has covariance equal to the identity and the quadrature
 X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.  Helpers
-take the tolerance as an argument; only ``params_from_covariance`` here and
-``classify_pair``, ``minimize_overlap`` and ``solve_s2_for_optimality`` read
-it, from ``default_tol`` (GDIST_TOL, a finite float > 0).
+take the tolerance as an argument; only ``params_from_covariance`` here,
+``classify_pair``, ``minimize_overlap`` and the surface solver in ``fidelity``
+read it, from ``default_tol`` (GDIST_TOL, a finite float > 0).  Of the two
+forms only the covariance form builds arrays and loads numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import NonPhysicalStateError, StateFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -108,10 +111,6 @@ class GaussianParams:
     def alpha(self) -> complex:
         return complex(self.alpha_x, self.alpha_y)
 
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([self.alpha_x, self.alpha_y])
-
     def is_pure(self, tol: float) -> bool:
         return self.gamma <= 1.0 + tol
 
@@ -120,9 +119,10 @@ class CovarianceState:
     """Covariance-matrix form: 2x2 symmetric ``cov`` and 2-vector ``mean``."""
 
     cov: np.ndarray
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    mean: np.ndarray = (0.0, 0.0)
 
     def __post_init__(self):
+        import numpy as np
         cov = np.array(self.cov, dtype=float)
         mean = np.array(self.mean, dtype=float)
         if cov.shape != (2, 2):
@@ -152,10 +152,11 @@ def covariance_from_params(p: GaussianParams) -> CovarianceState:
     cov = R(theta) diag(gamma*s, gamma/s) R(theta)^T, so det(cov) = gamma^2
     and the eigenvalues are {gamma*s, gamma/s}.
     """
+    import numpy as np
     c, sn = math.cos(p.theta), math.sin(p.theta)
     rot = np.array([[c, -sn], [sn, c]])
     cov = rot @ np.diag([p.gamma * p.s, p.gamma / p.s]) @ rot.T
-    return CovarianceState(cov, p.mean)
+    return CovarianceState(cov, (p.alpha_x, p.alpha_y))
 
 
 def params_from_covariance(c: CovarianceState) -> GaussianParams:
@@ -265,7 +266,7 @@ def state_from_dict(data: dict) -> GaussianParams:
             raise StateFormatError("field 'cov' must be a 2x2 array", field="cov")
         mean = _require_pair(data, "mean", "state") if "mean" in data else [0.0, 0.0]
         try:
-            state = CovarianceState(np.array(cov, dtype=float), np.array(mean))
+            state = CovarianceState(cov, mean)
         except (ValueError, TypeError) as exc:
             raise StateFormatError(f"invalid 'cov': {exc}", field="cov") from exc
         return params_from_covariance(state)

@@ -138,6 +138,9 @@ class TestErrorHandling:
             "solve-s2 --g1 inf --g2 4 --s1 2 --theta 1",
             "solve-s2 --g1 2 --g2 4 --s1 nan --theta 1",
             "overlap --a STATE --b STATE --phi nan",
+            "profile --a STATE --b STATE --steps 0",
+            "figure --which fig4 --s2-steps 0",
+            "figure --which fig4 --phi-steps 0",
             "povm-scan --a STATE --b STATE --theta-steps 0",
             "povm-scan --a STATE --b STATE --r-steps 0",
             "oracle-check --sweep random --count 0",
@@ -371,7 +374,59 @@ class TestPovmScanCommand:
         assert abs(float(first[1]) - math.exp(-0.25)) < 1e-9
 
 
+#: Every name ``gdist`` exported when its __init__ still imported each submodule.
+EAGER_EXPORTS = """
+    GdistError NonPhysicalStateError StateFormatError TruncationError UnsupportedPairError
+    FidelityReport fidelity_params FockOperator adequate_dim auto_state build_state
+    fidelity_fock marginal_fock overlap_fock overlap_at OptimalityVerdict PairClass S2Root
+    classify_pair minimize_overlap minimize_overlap_general ratio_extremes
+    solve_s2_for_optimality thermal_ratio_sum ConjectureScan conjecture_scan povm_overlap
+    CovarianceState GaussianParams covariance_from_params is_physical load_state
+    params_from_covariance state_from_dict
+""".split()
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports gdist from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 class TestColdImports:
+    def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
+        a = write_state(tmp_path, "a.json", GaussianParams(2.0))
+        b = write_state(tmp_path, "b.json", GaussianParams(3.0, 1.4, 0.5, 0.5, -0.3))
+        c = write_state(tmp_path, "c.json", GaussianParams(4.0, 1.4, math.pi / 3))
+        argvs = [
+            ["fidelity", "--a", a, "--b", b],
+            ["overlap", "--a", a, "--b", b, "--phi", "0.7"],
+            ["solve-s2", "--g1", "2", "--g2", "4", "--s1", "2", "--theta", "1"],
+            ["classify", "--a", a, "--b", c],  # the boundary: its minimum takes numpy
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "import gdist, gdist.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert gdist.cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, False, False, True]"
+
+    def test_lazy_exports_resolve_to_their_modules(self):
+        assert set(EAGER_EXPORTS) <= set(gdist.__all__)
+        for name in gdist.__all__:
+            obj = getattr(gdist, name)
+            assert obj.__module__.startswith("gdist."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        with pytest.raises(AttributeError):
+            gdist.no_such_name
+
     def test_pair_and_sweep_commands_leave_scipy_unloaded(self, tmp_path):
         a = write_state(tmp_path, "a.json", GaussianParams(2.0))
         b = write_state(tmp_path, "b.json", GaussianParams(3.0, 1.0, 0.0, 0.5, -0.3))
@@ -403,9 +458,7 @@ class TestColdImports:
             "print(fid - gdist.fidelity_params(p1, p2).fidelity)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gdist.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
         fid_dev, loaded = proc.stdout.splitlines()
         assert abs(float(fid_dev)) < 1e-8
