@@ -89,22 +89,14 @@ def _load_pair(args) -> tuple[GaussianParams, GaussianParams]:
 
 def _cmd_fidelity(args) -> int:
     p1, p2 = _load_pair(args)
-    report = fidelity_params(p1, p2)
-    fields = [
-        ("fidelity", report.fidelity),
-        ("delta_cap", report.delta_cap),
-        ("delta_low", report.delta_low),
-        ("exponent", report.exponent),
-        ("bures_distance_sq", report.bures_distance_sq),
-        ("uhlmann_angle", report.uhlmann_angle),
-    ]
+    fields = vars(fidelity_params(p1, p2))  # the FidelityReport fields, in order
     if args.json:
-        print(json.dumps(dict(fields)))
+        print(json.dumps(fields))
     elif args.csv:
-        print(",".join(name for name, _ in fields))
-        print(",".join(_fmt(val) for _, val in fields))
+        print(",".join(fields))
+        print(",".join(_fmt(val) for val in fields.values()))
     else:
-        for name, val in fields:
+        for name, val in fields.items():
             print(f"{name}={_fmt(val)}")
     return 0
 

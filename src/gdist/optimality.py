@@ -8,12 +8,12 @@ two covariance matrices,
     mu_pm = (gamma2/gamma1) * (D +- sqrt(D^2 - 16)) / 4,
 
 with D the squeeze mismatch; they depend on the pair only through
-(gamma1, gamma2, D).  For different means there is no such reduction, but
-with u = 2 phi the widths and the squared mean offset are first-degree
-trigonometric polynomials in u, so the critical points of log I_phi are
-the roots of a trigonometric polynomial of degree at most 4:
-``minimize_overlap_general`` takes them from a companion matrix and
-polishes them with safeguarded Newton steps, with no grid.
+(gamma1, gamma2, D).  For different means only round pairs have a closed
+form (``_round_minimum``).  In general, with u = 2 phi, the widths and
+the squared mean offset are first-degree trigonometric polynomials in u,
+so the critical points of log I_phi are the roots of one of degree at
+most 4: ``minimize_overlap_general`` takes them from a companion matrix
+and polishes them with safeguarded Newton steps, with no grid.
 
 ``classify_pair`` is the one classifier.  It reads the tolerance
 (``default_tol``, overridable through GDIST_TOL) once and decides every
@@ -139,17 +139,32 @@ def _minimize_same_mean(
     return _extreme_angle(p1, p2, mu), val
 
 
+def _round_minimum(g1: float, g2: float, dx: float, dy: float) -> tuple[float, float]:
+    """(phi_min, overlap_min) of round states (s = 1) with mean difference (dx, dy).
+
+    Both widths are constant, so I_phi = sqrt(2/(g1+g2)) (g1 g2)^{1/4}
+    exp(-beta_phi^2/(g1+g2)) is least along the mean difference.  Its angle
+    is taken in the upper half plane, which spares atan2 a rounded + pi.
+    """
+    width = g1 + g2
+    value = math.sqrt(2.0 / width) * (g1 * g2) ** 0.25 * math.exp(-(dx * dx + dy * dy) / width)
+    return wrap_angle(math.atan2(abs(dy), math.copysign(1.0, dy) * dx)), value
+
+
 def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Minimize I_phi over the measurement angle.
 
     Same-mean pairs take the analytic route: f at both ratio extremes, the
-    smaller kept, the angle from the extreme's null direction.  Pairs with
-    different means go to ``minimize_overlap_general``.  Returns
+    smaller kept, the angle from the extreme's null direction.  Displaced
+    pairs of exactly round states take the closed form ``_round_minimum``,
+    other displaced pairs ``minimize_overlap_general``.  Returns
     (phi_min, overlap_min).
     """
-    if not means_equal(p1, p2, default_tol()):
-        return minimize_overlap_general(p1, p2)
-    return _minimize_same_mean(p1, p2, squeeze_excess(p1, p2))
+    if means_equal(p1, p2, default_tol()):
+        return _minimize_same_mean(p1, p2, squeeze_excess(p1, p2))
+    if p1.s == p2.s == 1.0:
+        return _round_minimum(p1.gamma, p2.gamma, p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
+    return minimize_overlap_general(p1, p2)
 
 
 #: The slope numerator is sampled at u_k = 2 pi k / 9 (u = 2 phi).  _TRIG
@@ -349,12 +364,9 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     fid = _fidelity(p1, p2, 0.0, 0.0, excess).fidelity
     phi_min, val_min = _minimize_same_mean(p1, p2, excess)
     gap = val_min - fid
-    pure1 = p1.is_pure(tol)
-    pure2 = p2.is_pure(tol)
+    pure1, pure2 = p1.is_pure(tol), p2.is_pure(tol)
     if pure1 and pure2:
-        return OptimalityVerdict(
-            PairClass.PURE_PURE_ALWAYS_OPTIMAL, gap, witness_phi=phi_min
-        )
+        return OptimalityVerdict(PairClass.PURE_PURE_ALWAYS_OPTIMAL, gap, witness_phi=phi_min)
     if pure1 != pure2:
         return OptimalityVerdict(PairClass.PURE_MIXED_NEVER_OPTIMAL, gap)
     ratio_sum = thermal_ratio_sum(p1.gamma, p2.gamma)
@@ -362,15 +374,8 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     # D - 2T itself loses s1 s2 eps for nearly identical strongly squeezed pairs
     residual = excess - 2.0 * _thermal_excess(p1.gamma, p2.gamma)
     if abs(residual) < tol * ratio_sum:
-        return OptimalityVerdict(
-            PairClass.MIXED_MIXED_OPTIMAL,
-            gap,
-            witness_phi=phi_min,
-            condition_residual=residual,
-        )
-    return OptimalityVerdict(
-        PairClass.MIXED_MIXED_NOT_OPTIMAL, gap, condition_residual=residual
-    )
+        return OptimalityVerdict(PairClass.MIXED_MIXED_OPTIMAL, gap, phi_min, residual)
+    return OptimalityVerdict(PairClass.MIXED_MIXED_NOT_OPTIMAL, gap, condition_residual=residual)
 
 
 def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
@@ -379,25 +384,22 @@ def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
     Equal means go to the purity/mismatch criteria.  Differing means are
     classified only for round states, s = 1 within the tolerance that
     ``means_equal`` uses: such a pair is optimal iff the thermal widths
-    coincide, with the witness angle along the mean difference, and its gap
-    comes from the exact minimizer ``minimize_overlap_general``.  Other
-    configurations raise UnsupportedPairError (their numeric gap is still
-    available through ``minimize_overlap_general``).
+    coincide.  Its gap and witness angle, along the mean difference, come
+    from the closed form ``_round_minimum`` of the exactly round pair.
+    Other configurations raise UnsupportedPairError (their numeric gap is
+    still available through ``minimize_overlap_general``).
     """
     tol = default_tol()
     if means_equal(p1, p2, tol):
         return _same_mean_verdict(p1, p2, tol)
     if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
-        # the gap of the exactly round pair: s within tol of 1 counts as round
         g1, g2 = p1.gamma, p2.gamma
         dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
-        q1, q2 = GaussianParams(g1), GaussianParams(g2, 1.0, 0.0, dx, dy)
-        gap = minimize_overlap_general(q1, q2)[1] - fidelity_params(q1, q2).fidelity
+        q1, q2 = GaussianParams(g1), GaussianParams(g2, 1.0, 0.0, dx, dy)  # exactly round
+        witness, val_min = _round_minimum(g1, g2, dx, dy)
+        gap = val_min - fidelity_params(q1, q2).fidelity
         if abs(g1 - g2) < tol:
-            witness = wrap_angle(math.atan2(dy, dx))
-            return OptimalityVerdict(
-                PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness_phi=witness
-            )
+            return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness)
         return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, gap)
     raise UnsupportedPairError(
         "pairs with different means and squeezing are not classified; "

@@ -4,7 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gdist
@@ -20,8 +20,9 @@ from gdist import (
     solve_s2_for_optimality,
     thermal_ratio_sum,
 )
+from gdist import optimality
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
-from gdist.optimality import PairClass, _critical_angles
+from gdist.optimality import PairClass, _critical_angles, _round_minimum
 from gdist.states import DEFAULT_TOL
 
 from conftest import log_uniform, matmul_covariance, random_params
@@ -217,8 +218,11 @@ class TestMinimizeOverlapGeneral:
             assert min(dist, math.pi - dist) < 1e-4
 
     def test_routing_from_minimize_overlap(self):
+        # exactly round displaced pairs take the closed form, squeezed ones this route
         p1 = GaussianParams(1.0)
         p2 = GaussianParams(1.0, 1.0, 0.0, 0.7, 0.2)
+        assert minimize_overlap(p1, p2) == _round_minimum(1.0, 1.0, 0.7, 0.2)
+        p2 = GaussianParams(1.0, 1.5, 0.3, 0.7, 0.2)
         assert minimize_overlap(p1, p2) == minimize_overlap_general(p1, p2)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -843,6 +847,55 @@ class TestDifferentMeanSymmetric:
     def test_zero_offset_delegates(self):
         v = classify_pair(*round_pair(2.0, 2.0, (0.0, 0.0)))
         assert v.kind is PairClass.IDENTICAL_STATES
+
+
+class TestRoundMinimum:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        gammas=st.tuples(log_uniform(1.0, 1e8), log_uniform(1.0, 1e8)),
+        radius=log_uniform(1e-3, 1e4),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_matches_mpmath_reference(self, gammas, radius, angle):
+        (g1, g2), dx, dy = gammas, radius * math.cos(angle), radius * math.sin(angle)
+        with mpmath.workdps(50):
+            width = mpmath.mpf(g1) + mpmath.mpf(g2)
+            expected = (
+                mpmath.sqrt(2 / width)
+                * mpmath.root(mpmath.mpf(g1) * mpmath.mpf(g2), 4)
+                * mpmath.exp(-(mpmath.mpf(dx) ** 2 + mpmath.mpf(dy) ** 2) / width)
+            )
+            assume(expected >= sys.float_info.min)  # skip minima that underflow
+            phi, value = _round_minimum(g1, g2, dx, dy)
+            assert abs(value / expected - 1) <= 1e-12
+            assert mod_distance(phi, float(mpmath.atan2(dy, dx)), math.pi) <= 1e-15
+        assert 0.0 <= phi < math.pi
+        general_phi, general_value = minimize_overlap_general(*round_pair(g1, g2, (dx, dy)))
+        # within ~1e-8 of phi = 0, I_phi is flat to the last bit and the general
+        # route's probe at phi = 0 can win the tie
+        assert mod_distance(phi, general_phi, math.pi) <= 1e-15 or (
+            general_phi == 0.0 and general_value == pytest.approx(value, rel=1e-15)
+        )
+
+    def test_round_pairs_skip_the_companion_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("companion-matrix route")
+
+        monkeypatch.setattr(optimality, "minimize_overlap_general", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        kinds = {
+            2.0: PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL,
+            3.5: PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL,
+        }
+        for g2, kind in kinds.items():
+            pair = round_pair(2.0, g2, (1.0, 0.5))
+            assert classify_pair(*pair).kind is kind
+            assert minimize_overlap(*pair)[0] == math.atan2(0.5, 1.0)
+            # s within tol of 1 is classified as the exactly round pair
+            assert classify_pair(GaussianParams(2.0, 1.0 + 1e-13), pair[1]).kind is kind
+        # a nearly round pair is minimized by the general route
+        with pytest.raises(AssertionError, match="companion-matrix route"):
+            minimize_overlap(GaussianParams(2.0, 1.0 + 1e-9), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.5))
 
 
 class TestClassifyPair:
