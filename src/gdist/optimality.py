@@ -36,6 +36,7 @@ from .fidelity import (
 )
 from .states import (
     GaussianParams,
+    covariance_entries,
     default_tol,
     means_equal,
     states_equal,
@@ -89,17 +90,10 @@ def _ratio_extremes(ratio: float, excess: float) -> tuple[float, float]:
     return ratio * 4.0 / big, ratio * big / 4.0
 
 
-def _covariance_entries(p: GaussianParams) -> tuple[float, float, float]:
-    """(c00, c01, c11) of R(theta) diag(gamma s, gamma/s) R(theta)^T."""
-    c, sn = math.cos(p.theta), math.sin(p.theta)
-    long, short = p.gamma * p.s, p.gamma / p.s
-    return long * c * c + short * sn * sn, (long - short) * c * sn, long * sn * sn + short * c * c
-
-
 def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
     """Angle where B2/B1 attains the extreme ``mu`` (null direction of C2 - mu*C1)."""
-    a00, a01, a11 = _covariance_entries(p1)
-    b00, b01, b11 = _covariance_entries(p2)
+    a00, a01, a11 = covariance_entries(p1.gamma, p1.s, p1.theta)
+    b00, b01, b11 = covariance_entries(p2.gamma, p2.s, p2.theta)
     m00, m01, m11 = b00 - mu * a00, b01 - mu * a01, b11 - mu * a11
     # null vector of a singular symmetric 2x2; pick the better-conditioned row
     if abs(m00) + abs(m01) >= abs(m01) + abs(m11):

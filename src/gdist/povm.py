@@ -1,11 +1,22 @@
 """Projection-valued measurements onto squeezed coherent states.
 
 The family consists of the POVMs with elements (1/pi) U^dag |alpha><alpha| U
-for U a squeeze of degree r (finite, >= 0) along direction theta_u.  Outcomes
-follow the Husimi Q function of the transformed state, a 2-D Gaussian over the
-alpha plane, and ``povm_overlap(p1, p2, r, theta_u)`` is the overlap of two.
-r = 0 is heterodyne detection; r -> infinity recovers homodyne detection along
-theta_u.  Whether the large-r limit is the best member of the family is an open
+for U a squeeze of degree s = e^{2r} (r finite, >= 0) along direction theta_u.
+Outcomes follow the Husimi Q function of the transformed state, a 2-D Gaussian
+with covariance Q = (M C M + I)/4 and mean M m, M = R(theta_u) diag(sqrt s,
+1/sqrt s) R(theta_u)^T; ``povm_overlap(p1, p2, r, theta_u)`` is the overlap of
+two.  As det M = 1, det(A + I) = det A + tr A + 1 and adj(A + I) = adj A + I,
+
+    overlap = (det Q1 det Q2)^{1/4} / sqrt(det P) exp(-mahal / (2 pooled)),
+    16 det Qi = gamma_i^2 + t_i + 1,   t_i = tr(M Ci M) = s Bi(theta_u) + Bi(theta_u + pi/2)/s,
+    16 det P = pooled = det(C1 + C2)/4 + (t1 + t2)/2 + 1,   P = (Q1 + Q2)/2,
+    mahal = (beta^T adj(C1) beta + beta^T adj(C2) beta)/2 + s (beta.u)^2 + (beta.u_perp)^2/s,
+
+with B the homodyne width, beta the mean difference and u = (cos, sin) theta_u.
+Every sum has nonnegative terms, so nothing cancels as s grows, and each is
+evaluated divided by s, so nothing overflows: r = 0 is heterodyne detection,
+and as r -> infinity (e^{-2r} -> 0) the overlap becomes the homodyne overlap
+at theta_u.  Whether that limit is the best member of the family is an open
 question; ``conjecture_scan`` only collects numerical evidence.
 """
 
@@ -14,46 +25,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fidelity import fidelity_params
+from .fidelity import _adjugate_form, fidelity_params
+from .homodyne import _width
 from .optimality import minimize_overlap
-from .states import CovarianceState, GaussianParams, covariance_from_params
+from .states import GaussianParams
 
 
-def _check_r(r: float) -> None:
+def _inverse_squeeze(r: float) -> float:
+    """e^{-2r} = 1/s of the member of squeeze parameter r, which must be finite and >= 0."""
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
+    return math.exp(-2.0 * r)
 
 
-def _squeeze_matrix(r: float, theta_u: float) -> np.ndarray:
-    """R(theta_u) diag(sqrt s, 1/sqrt s) R(theta_u)^T, the squeeze of degree s = e^{2r}."""
-    s = math.exp(2.0 * r)
-    c, sn = math.cos(theta_u), math.sin(theta_u)
-    rot = np.array([[c, -sn], [sn, c]])
-    return rot @ np.diag([math.sqrt(s), 1.0 / math.sqrt(s)]) @ rot.T
-
-
-def _q_moments(state: CovarianceState, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q-covariance (M C M^T + I)/4 and mean M m of ``state`` under the squeeze M."""
-    return (m @ state.cov @ m.T + np.eye(2)) / 4.0, m @ state.mean
-
-
-def _bhattacharyya(q1: tuple[np.ndarray, np.ndarray], q2: tuple[np.ndarray, np.ndarray]) -> float:
-    """Overlap of two 2-D Gaussians given as (covariance, mean)."""
-    cov1, mean1 = q1
-    cov2, mean2 = q2
-    pooled = 0.5 * (cov1 + cov2)
-    det1 = float(cov1[0, 0] * cov1[1, 1] - cov1[0, 1] ** 2)
-    det2 = float(cov2[0, 0] * cov2[1, 1] - cov2[0, 1] ** 2)
-    detp = float(pooled[0, 0] * pooled[1, 1] - pooled[0, 1] ** 2)
-    diff = mean2 - mean1
-    quad = (
-        pooled[1, 1] * diff[0] * diff[0]
-        - 2.0 * pooled[0, 1] * diff[0] * diff[1]
-        + pooled[0, 0] * diff[1] * diff[1]
-    ) / detp
-    return (det1 * det2) ** 0.25 / math.sqrt(detp) * math.exp(-0.125 * quad)
+def _family_overlap(
+    p1: GaussianParams, p2: GaussianParams, inv_s: float, theta_u: float, cap: float
+) -> float:
+    """The overlap at 1/s = ``inv_s`` along theta_u, cap = det(C1 + C2), each sum divided by s."""
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    cu, su = math.cos(theta_u), math.sin(theta_u)
+    along, across = dx * cu + dy * su, dy * cu - dx * su
+    traces = []
+    for p in (p1, p2):
+        c, sn = math.cos(theta_u - p.theta), math.sin(theta_u - p.theta)
+        traces.append(_width(p, c, sn) + inv_s * (inv_s * _width(p, sn, c)))
+    det1, det2 = (t + inv_s * (p.gamma * p.gamma + 1.0) for t, p in zip(traces, (p1, p2)))
+    pooled = 0.5 * (traces[0] + traces[1]) + inv_s * (0.25 * cap + 1.0)
+    adjugates = _adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)
+    mahal = along * along + inv_s * (0.5 * adjugates + inv_s * (across * across))
+    ratio = math.sqrt(det1 / pooled) * math.sqrt(det2 / pooled)  # det1 * det2 can overflow
+    return math.sqrt(ratio) * math.exp(-0.5 * mahal / pooled)
 
 
 def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: float) -> float:
@@ -62,11 +63,7 @@ def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: floa
     The member squeezes by degree e^{2r}, r finite and >= 0, along theta_u.
     Closed 2-D Gaussian form; always >= the fidelity of the pair.
     """
-    _check_r(r)
-    m = _squeeze_matrix(r, theta_u)
-    return _bhattacharyya(
-        _q_moments(covariance_from_params(p1), m), _q_moments(covariance_from_params(p2), m)
-    )
+    return _family_overlap(p1, p2, _inverse_squeeze(r), theta_u, fidelity_params(p1, p2).delta_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +86,11 @@ def conjecture_scan(p1: GaussianParams, p2: GaussianParams, r_grid, theta_grid) 
 
     Reference rows carry the homodyne-detection minimum and the fidelity.
     """
-    state1, state2 = covariance_from_params(p1), covariance_from_params(p2)
+    report = fidelity_params(p1, p2)
     rows = []
-    for r in r_grid:
-        r = float(r)
-        _check_r(r)
-        best = math.inf
-        for theta in theta_grid:
-            m = _squeeze_matrix(r, float(theta))
-            best = min(best, _bhattacharyya(_q_moments(state1, m), _q_moments(state2, m)))
-        rows.append(ConjectureScanRow(r, best))
+    for r in map(float, r_grid):
+        inv_s = _inverse_squeeze(r)
+        cells = (_family_overlap(p1, p2, inv_s, float(t), report.delta_cap) for t in theta_grid)
+        rows.append(ConjectureScanRow(r, min(cells, default=math.inf)))
     _, homodyne_min = minimize_overlap(p1, p2)
-    return ConjectureScan(rows, homodyne_min, fidelity_params(p1, p2).fidelity)
+    return ConjectureScan(rows, homodyne_min, report.fidelity)

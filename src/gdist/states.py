@@ -7,8 +7,9 @@ fixed so the vacuum has covariance equal to the identity and the quadrature
 X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.  Helpers
 take the tolerance as an argument; only ``params_from_covariance`` here,
 ``classify_pair``, ``minimize_overlap`` and the surface solver in ``fidelity``
-read it, from ``default_tol`` (GDIST_TOL, a finite float > 0).  Of the two
-forms only the covariance form builds arrays and loads numpy.
+read it, from ``default_tol`` (GDIST_TOL, a finite float > 0).  Both forms
+hold plain floats, and ``covariance_entries`` is the one scalar kernel of the
+covariance entries, so this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import NonPhysicalStateError, StateFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -116,34 +113,35 @@ class GaussianParams:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
-    """Covariance-matrix form: 2x2 symmetric ``cov`` and 2-vector ``mean``."""
+    """Covariance-matrix form: 2x2 symmetric ``cov`` and 2-vector ``mean``, as float tuples."""
 
-    cov: np.ndarray
-    mean: np.ndarray = (0.0, 0.0)
+    cov: tuple[tuple[float, float], tuple[float, float]]
+    mean: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        import numpy as np
-        cov = np.array(self.cov, dtype=float)
-        mean = np.array(self.mean, dtype=float)
-        if cov.shape != (2, 2):
-            raise ValueError(f"covariance must be 2x2, got shape {cov.shape}")
-        if mean.shape != (2,):
-            raise ValueError(f"mean must be a 2-vector, got shape {mean.shape}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if abs(cov[0, 1] - cov[1, 0]) > DEFAULT_TOL * scale:
+        (c00, c01), (c10, c11) = (map(float, row) for row in self.cov)  # ValueError unless 2x2
+        x, y = map(float, self.mean)
+        if abs(c01 - c10) > DEFAULT_TOL * max(1.0, abs(c00), abs(c01), abs(c10), abs(c11)):
             raise ValueError("covariance matrix is not symmetric")
-        off = 0.5 * (cov[0, 1] + cov[1, 0])
-        cov[0, 1] = off
-        cov[1, 0] = off
-        cov.setflags(write=False)
-        mean.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
+        off = 0.5 * (c01 + c10)
+        object.__setattr__(self, "cov", ((c00, off), (off, c11)))
+        object.__setattr__(self, "mean", (x, y))
 
     @property
     def det(self) -> float:
-        c = self.cov
-        return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+        (c00, c01), (_, c11) = self.cov
+        return c00 * c11 - c01 * c01
+
+
+def covariance_entries(gamma: float, s: float, theta: float) -> tuple[float, float, float]:
+    """(c00, c01, c11) of R(theta) diag(gamma s, gamma/s) R(theta)^T.
+
+    ``homodyne._width`` and ``fidelity._adjugate_form`` stay separate kernels:
+    each is a different quadratic form of C, kept in a form that does not cancel.
+    """
+    c, sn = math.cos(theta), math.sin(theta)
+    long, short = gamma * s, gamma / s
+    return long * c * c + short * sn * sn, (long - short) * c * sn, long * sn * sn + short * c * c
 
 
 def covariance_from_params(p: GaussianParams) -> CovarianceState:
@@ -152,11 +150,8 @@ def covariance_from_params(p: GaussianParams) -> CovarianceState:
     cov = R(theta) diag(gamma*s, gamma/s) R(theta)^T, so det(cov) = gamma^2
     and the eigenvalues are {gamma*s, gamma/s}.
     """
-    import numpy as np
-    c, sn = math.cos(p.theta), math.sin(p.theta)
-    rot = np.array([[c, -sn], [sn, c]])
-    cov = rot @ np.diag([p.gamma * p.s, p.gamma / p.s]) @ rot.T
-    return CovarianceState(cov, (p.alpha_x, p.alpha_y))
+    c00, c01, c11 = covariance_entries(p.gamma, p.s, p.theta)
+    return CovarianceState(((c00, c01), (c01, c11)), (p.alpha_x, p.alpha_y))
 
 
 def params_from_covariance(c: CovarianceState) -> GaussianParams:
@@ -171,7 +166,7 @@ def params_from_covariance(c: CovarianceState) -> GaussianParams:
         raise NonPhysicalStateError(
             f"covariance is not a physical state (det={c.det:.6g}, needs >= 1)"
         )
-    a, b, d = c.cov[0, 0], c.cov[0, 1], c.cov[1, 1]
+    (a, b), (_, d) = c.cov
     gamma = math.sqrt(c.det)
     half_span = math.hypot(0.5 * (a - d), b)
     lam_max = 0.5 * (a + d) + half_span
@@ -184,7 +179,7 @@ def params_from_covariance(c: CovarianceState) -> GaussianParams:
 
 def is_physical(c: CovarianceState, tol: float) -> bool:
     """True iff cov is positive-definite with det >= 1 - tol."""
-    a, d = c.cov[0, 0], c.cov[1, 1]
+    (a, _), (_, d) = c.cov
     det = c.det
     return a > 0.0 and d > 0.0 and det > 0.0 and det >= 1.0 - tol
 

@@ -9,8 +9,11 @@ quantity no command prints, so the tests can compare the two:
 - the homodyne marginal as a density object;
 - the Weyl characteristic function and the Wigner function;
 - the squeeze mismatch D in its (s + 1/s)(s' + 1/s') form;
-- the Husimi/POVM outcome distributions and the truncated operators that
-  the Fock-oracle tests compare against scipy's expm;
+- the Husimi/POVM outcome distributions as numpy 2x2 products: the squeeze
+  matrix M, the Q-moments (M C M^T + I)/4 and M m, and their Bhattacharyya
+  overlap, the references of ``povm``'s closed form, with the same overlap in
+  mpmath;
+- the truncated operators that the Fock-oracle tests compare against scipy's expm;
 - the Fock-oracle overlap on a fixed 4001-point grid, the reference for the
   oracle's own grid sized by the truncation.
 """
@@ -21,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from gdist.errors import GdistError
@@ -35,7 +39,6 @@ from gdist.fock import (
     marginal_fock,
 )
 from gdist.optimality import thermal_ratio_sum
-from gdist.povm import _q_moments, _squeeze_matrix
 from gdist.states import (
     DEFAULT_TOL,
     CovarianceState,
@@ -351,11 +354,11 @@ def wigner_fn(c: CovarianceState, beta: complex) -> float:
     b the displacement from the mean; integrates to 1 over the plane.
     """
     beta = complex(beta)
-    b = np.array([beta.real, beta.imag]) - c.mean
+    bx, by = beta.real - c.mean[0], beta.imag - c.mean[1]
     det = c.det
-    a, off, d = c.cov[0, 0], c.cov[0, 1], c.cov[1, 1]
+    (a, off), (_, d) = c.cov
     # 2x2 inverse via adjugate
-    quad = (d * b[0] * b[0] - 2.0 * off * b[0] * b[1] + a * b[1] * b[1]) / det
+    quad = (d * bx * bx - 2.0 * off * bx * by + a * by * by) / det
     return 2.0 / (math.pi * math.sqrt(det)) * math.exp(-2.0 * quad)
 
 
@@ -446,6 +449,19 @@ class QDistribution:
         return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
+def _squeeze_matrix(r: float, theta_u: float) -> np.ndarray:
+    """R(theta_u) diag(sqrt s, 1/sqrt s) R(theta_u)^T, the squeeze of degree s = e^{2r}."""
+    s = math.exp(2.0 * r)
+    c, sn = math.cos(theta_u), math.sin(theta_u)
+    rot = np.array([[c, -sn], [sn, c]])
+    return rot @ np.diag([math.sqrt(s), 1.0 / math.sqrt(s)]) @ rot.T
+
+
+def _q_moments(state: CovarianceState, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q-covariance (M C M^T + I)/4 and mean M m of ``state`` under the squeeze M."""
+    return (m @ state.cov @ m.T + np.eye(2)) / 4.0, m @ state.mean
+
+
 def povm_distribution(p: GaussianParams, r: float, theta_u: float) -> QDistribution:
     """Outcome distribution on state ``p`` of the member squeezing by e^{2r} along theta_u.
 
@@ -454,3 +470,43 @@ def povm_distribution(p: GaussianParams, r: float, theta_u: float) -> QDistribut
     and mean M m.  For r = 0 this is the plain Husimi Q of the state.
     """
     return QDistribution(*_q_moments(covariance_from_params(p), _squeeze_matrix(r, theta_u)))
+
+
+def q_overlap(q1: QDistribution, q2: QDistribution) -> float:
+    """Bhattacharyya overlap of two 2-D Gaussians by numpy determinants and a linear solve."""
+    pooled = 0.5 * (q1.cov + q2.cov)
+    diff = q2.mean - q1.mean
+    quad = float(diff @ np.linalg.solve(pooled, diff))
+    dets = [float(np.linalg.det(cov)) for cov in (q1.cov, q2.cov, pooled)]
+    return (dets[0] * dets[1]) ** 0.25 / math.sqrt(dets[2]) * math.exp(-0.125 * quad)
+
+
+def mpmath_povm_overlap(p1, p2, r, theta_u):
+    """Overlap of the Q-distributions (M C M + I)/4, M m as 2x2 matrices in mpmath.
+
+    The determinants of M C M cancel about 2 log10(e^{2r}) digits, so the
+    working precision is 50 digits beyond that.
+    """
+    with mp.workdps(50 + math.ceil(4.0 * r / math.log(10.0))):
+        s = mp.exp(2 * mp.mpf(r))
+
+        def rotation(angle):
+            c, sn = mp.cos(mp.mpf(angle)), mp.sin(mp.mpf(angle))
+            return mp.matrix([[c, -sn], [sn, c]])
+
+        rot = rotation(theta_u)
+        m = rot * mp.diag([mp.sqrt(s), 1 / mp.sqrt(s)]) * rot.T
+
+        def q_cov(p):
+            g, sq = mp.mpf(p.gamma), mp.mpf(p.s)
+            cov = rotation(p.theta) * mp.diag([g * sq, g / sq]) * rotation(p.theta).T
+            return (m * cov * m + mp.eye(2)) / 4
+
+        q1, q2 = q_cov(p1), q_cov(p2)
+        pooled = (q1 + q2) / 2
+        beta = mp.matrix([mp.mpf(p2.alpha_x) - p1.alpha_x, mp.mpf(p2.alpha_y) - p1.alpha_y])
+        diff = m * beta
+        quad = (diff.T * mp.inverse(pooled) * diff)[0]
+        return (mp.det(q1) * mp.det(q2)) ** mp.mpf(0.25) / mp.sqrt(mp.det(pooled)) * mp.exp(
+            -quad / 8
+        )

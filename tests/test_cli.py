@@ -14,6 +14,8 @@ from gdist import GaussianParams, fidelity_params, minimize_overlap_general
 from gdist.cli import FIGURES, emit_figure_data, main
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
 
+from crosscheck import mpmath_povm_overlap
+
 
 def write_state(tmp_path, name, params):
     path = tmp_path / name
@@ -373,6 +375,25 @@ class TestPovmScanCommand:
         first = lines[1].split(",")
         assert abs(float(first[1]) - math.exp(-0.25)) < 1e-9
 
+    @pytest.mark.parametrize("r_max", [40.0, 360.0])
+    def test_extreme_r_rows_match_mpmath(self, tmp_path, r_max):
+        # e^{2r} is finite up to r = 354.9; r = 360 must not print inf or nan either
+        p1, p2 = GaussianParams(2.0), GaussianParams(3.0, 1.7, 0.4, 0.3, -0.2)
+        a, b = write_state(tmp_path, "a.json", p1), write_state(tmp_path, "b.json", p2)
+        code, out = run_cli(
+            ["povm-scan", "--a", a, "--b", b, "--r-max", repr(r_max), "--r-steps", "4",
+             "--theta-steps", "8"]
+        )
+        assert code == 0
+        thetas = np.linspace(0.0, math.pi, 8, endpoint=False)
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == np.linspace(0.0, r_max, 4).tolist()
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row)
+            r, value = float(row[0]), float(row[1])
+            reference = min(mpmath_povm_overlap(p1, p2, r, float(t)) for t in thetas)
+            assert abs(value / reference - 1) < 1e-13, row
+
 
 #: Every name ``gdist`` exported when its __init__ still imported each submodule.
 EAGER_EXPORTS = """
@@ -398,10 +419,14 @@ class TestColdImports:
         a = write_state(tmp_path, "a.json", GaussianParams(2.0))
         b = write_state(tmp_path, "b.json", GaussianParams(3.0, 1.4, 0.5, 0.5, -0.3))
         c = write_state(tmp_path, "c.json", GaussianParams(4.0, 1.4, math.pi / 3))
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"cov": [[4.0, 0.5], [0.5, 1.0]], "mean": [0.2, -0.1]}))
         argvs = [
             ["fidelity", "--a", a, "--b", b],
             ["overlap", "--a", a, "--b", b, "--phi", "0.7"],
             ["solve-s2", "--g1", "2", "--g2", "4", "--s1", "2", "--theta", "1"],
+            ["fidelity", "--a", str(cov), "--b", b],
+            ["overlap", "--a", str(cov), "--b", b, "--phi", "0.7"],
             ["classify", "--a", a, "--b", c],  # the boundary: its minimum takes numpy
         ]
         code = (
@@ -416,7 +441,7 @@ class TestColdImports:
         )
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False, False, True]"
+        assert proc.stdout.strip() == "[False, False, False, False, False, False, True]"
 
     def test_lazy_exports_resolve_to_their_modules(self):
         assert set(EAGER_EXPORTS) <= set(gdist.__all__)

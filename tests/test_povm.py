@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,16 +10,53 @@ from gdist import (
     covariance_from_params,
     fidelity_params,
     minimize_overlap,
+    overlap_at,
     povm_overlap,
 )
 from gdist.fock import FockOperator, build_state
-from gdist.povm import _squeeze_matrix
 
 from conftest import random_params
-from crosscheck import husimi_fock, povm_distribution, squeeze_op
+from crosscheck import (
+    _squeeze_matrix,
+    husimi_fock,
+    mpmath_povm_overlap,
+    povm_distribution,
+    q_overlap,
+    squeeze_op,
+)
 
 
 THETA_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
+
+#: A hot squeezed pair, r and theta_u at which the numpy 2x2 determinants of
+#: (M C M + I)/4 cancelled to a returned overlap of 0.0, and the 50-digit
+#: mpmath value of the overlap there (F of the pair is 4.93e-4).
+HOT_PAIR = (
+    GaussianParams(
+        2533.241680891983, 2005.6482921362476, 1.002555108509686, 0.8200481239752886,
+        -0.0388608810580795,
+    ),
+    GaussianParams(
+        9995.216571862316, 9807.515942489274, 2.7456085006316817, 1.4466693143276634,
+        0.5300892020517702,
+    ),
+)
+HOT_R, HOT_THETA_U, HOT_OVERLAP = 9.77350885131916, 0.6646489385883793, 0.8467325662424914
+
+
+def wide_draws(count, seed=17):
+    """Pairs with gamma and s log-uniform in [1, 1e4] and |alpha| <= 3; r in [0, 10]."""
+    rng = random.Random(seed)
+
+    def state():
+        gamma, s = 10.0 ** rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(0.0, 4.0)
+        size, angle = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+        theta = rng.uniform(0.0, math.pi)
+        return GaussianParams(gamma, s, theta, size * math.cos(angle), size * math.sin(angle))
+
+    for _ in range(count):
+        p1, p2 = state(), state()
+        yield p1, p2, rng.uniform(0.0, 10.0), rng.uniform(0.0, math.pi)
 
 
 def husimi_oracle(p, r, theta_u, alpha, dim=200):
@@ -115,6 +153,40 @@ class TestPovmOverlap:
             fid = fidelity_params(p1, p2).fidelity
             assert povm_overlap(p1, p2, r, theta_u) >= fid - 1e-9
 
+    def test_hot_squeezed_pair(self):
+        p1, p2 = HOT_PAIR
+        val = povm_overlap(p1, p2, HOT_R, HOT_THETA_U)
+        assert abs(val / HOT_OVERLAP - 1.0) < 1e-13
+        assert abs(fidelity_params(p1, p2).fidelity / 4.93e-4 - 1.0) < 1e-3
+
+    def test_matches_mpmath_on_the_wide_domain(self):
+        checked = 0
+        for p1, p2, r, theta_u in wide_draws(400):
+            reference = mpmath_povm_overlap(p1, p2, r, theta_u)
+            if reference < 1e-290:
+                continue
+            val = povm_overlap(p1, p2, r, theta_u)
+            assert abs(val / reference - 1) < 1e-13, (p1, p2, r, theta_u)
+            checked += 1
+        assert checked > 350
+
+    def test_matches_numpy_q_moments(self, rng):
+        for _ in range(300):
+            p1 = random_params(rng, mean_scale=1.5)
+            p2 = random_params(rng, mean_scale=1.5)
+            r, theta_u = rng.uniform(0.0, 3.0), rng.uniform(0.0, math.pi)
+            reference = q_overlap(povm_distribution(p1, r, theta_u), povm_distribution(p2, r, theta_u))
+            assert abs(povm_overlap(p1, p2, r, theta_u) / reference - 1.0) < 1e-12
+
+    def test_squeeze_beyond_double_range_is_homodyne(self, rng):
+        # e^{-2r} underflows to 0: the member is homodyne detection along theta_u
+        for _ in range(50):
+            p1 = random_params(rng, mean_scale=1.5)
+            p2 = random_params(rng, mean_scale=1.5)
+            theta_u = rng.uniform(0.0, math.pi)
+            homodyne = overlap_at(p1, p2, theta_u)
+            assert abs(povm_overlap(p1, p2, 1e6, theta_u) / homodyne - 1.0) < 1e-14
+
     def test_large_r_consistency_pure_pairs(self, rng):
         # min over theta_u approaches the homodyne minimum once r >= 6
         thetas = np.linspace(0, math.pi, 256, endpoint=False)
@@ -175,3 +247,4 @@ class TestConjectureScan:
             cells = [povm_overlap(p1, p2, float(r), float(theta)) for theta in theta_grid]
             assert row.r == float(r)
             assert row.min_overlap == min(cells)
+

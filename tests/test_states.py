@@ -78,6 +78,19 @@ class TestCovarianceFromParams:
             assert math.isclose(eig[1], p.gamma * p.s, rel_tol=1e-10)
             assert math.isclose(eig[0], p.gamma / p.s, rel_tol=1e-10)
 
+    def test_holds_float_tuples(self):
+        c = CovarianceState(np.diag([4.0, 0.25]), np.array([1.0, -1.0]))
+        assert c.cov == ((4.0, 0.0), (0.0, 0.25)) and c.mean == (1.0, -1.0)
+        assert all(type(x) is float for row in c.cov for x in row)
+
+    @pytest.mark.parametrize(
+        "cov, mean",
+        [([[1.0, 0.0]], (0.0, 0.0)), (np.eye(3), (0.0, 0.0)), (np.eye(2), (0.0,))],
+    )
+    def test_rejects_wrong_shapes(self, cov, mean):
+        with pytest.raises(ValueError):
+            CovarianceState(cov, mean)
+
 
 class TestParamsFromCovariance:
     def test_identity_gives_vacuum(self):
@@ -96,7 +109,7 @@ class TestParamsFromCovariance:
             c = covariance_from_params(p)
             q = params_from_covariance(c)
             c2 = covariance_from_params(q)
-            assert np.max(np.abs(c2.cov - c.cov)) < 1e-12 * max(1.0, p.gamma * p.s)
+            assert np.max(np.abs(np.subtract(c2.cov, c.cov))) < 1e-12 * max(1.0, p.gamma * p.s)
             assert np.allclose(c2.mean, c.mean)
 
     def test_degenerate_covariance_reports_round(self):
