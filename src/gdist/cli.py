@@ -5,7 +5,7 @@ min-overlap, classify, solve-s2), the figure-data sweeps, the Fock-oracle
 validation, and the POVM-family scan.  All angles are radians; output floats
 use the shortest round-trip representation, so CSV output is byte-identical
 between runs.  Exit codes: 0 success, 2 invalid input, 1 numeric failure.
-``fidelity``, ``overlap`` and ``solve-s2`` never load numpy, on either state form.
+Only arrays and the minimum of a squeezed displaced pair load numpy.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Measuring the quadrature X_phi on a Gaussian state gives a normal outcome
 distribution p(x) = sqrt(2/(pi B)) exp(-2 (x - a_phi)^2 / B) with width
 B(phi) = gamma [s cos^2(phi - theta) + s^{-1} sin^2(phi - theta)] and mean
 a_phi the projection of the mean amplitude onto the measurement direction.
+Their overlap I_phi: one scalar kernel ``_overlap``, one array twin ``overlap_grid``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def _width(p: GaussianParams, c, s):
     return p.gamma * (p.s * c**2 + s**2 / p.s)
 
 
+def _overlap(b1: float, b2: float, beta_sq: float) -> float:
+    """I_phi from widths b1, b2 and beta_phi^2, the prefactor under one root for accuracy."""
+    width = b1 + b2
+    return math.sqrt(2.0 * math.sqrt(b1 * b2) / width) * math.exp(-beta_sq / width)
+
+
 def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     """Bhattacharyya overlap of the two homodyne distributions at ``phi``."""
     d1, d2 = phi - p1.theta, phi - p2.theta
@@ -39,11 +46,7 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     b2 = _width(p2, math.cos(d2), math.sin(d2))
     cp, sp = math.cos(phi), math.sin(phi)
     beta_phi = (p2.alpha_x * cp + p2.alpha_y * sp) - (p1.alpha_x * cp + p1.alpha_y * sp)
-    return (
-        math.sqrt(2.0 / (b1 + b2))
-        * (b1 * b2) ** 0.25
-        * math.exp(-beta_phi * beta_phi / (b1 + b2))
-    )
+    return _overlap(b1, b2, beta_phi * beta_phi)
 
 
 def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np.ndarray:

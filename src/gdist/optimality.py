@@ -19,21 +19,23 @@ and polishes them with safeguarded Newton steps, with no grid.
 (``default_tol``, overridable through GDIST_TOL) once and decides every
 gate of the verdict with it: equal means, round states, identical states,
 purity, equal thermal widths and the mixed/mixed equality surface, whose
-solver ``solve_s2_for_optimality`` lives in ``fidelity`` and needs no numpy.
+solver ``solve_s2_for_optimality`` lives in ``fidelity``.  Every scalar
+I_phi comes from ``homodyne._overlap`` and only ``_critical_angles`` loads
+numpy, so the verdicts and the same-mean and round minima need ``math`` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import UnsupportedPairError
 from .fidelity import (
     _fidelity, _thermal_excess, fidelity_params, squeeze_excess, thermal_ratio_sum
 )
+from .homodyne import _overlap
 from .states import (
     GaussianParams,
     covariance_entries,
@@ -42,8 +44,6 @@ from .states import (
     states_equal,
     wrap_angle,
 )
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class PairClass(Enum):
@@ -105,43 +105,21 @@ def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
     return wrap_angle(math.atan2(u[1], u[0]))
 
 
-def _extreme_overlaps(mu_plus: float, mu_minus: float) -> tuple[float, float]:
-    """f(x) = sqrt(2) x^{1/4} / sqrt(1 + x) at both ratio extremes.
-
-    Scalar arithmetic except the fourth roots, which one numpy power call
-    takes for both: numpy's vectorized pow and libm's differ in the last bit
-    for a few percent of arguments, and the printed minimum keeps numpy's
-    bits.
-    """
-    root_plus, root_minus = np.power((mu_plus, mu_minus), 0.25).tolist()
-    return (
-        _SQRT2 * root_plus / math.sqrt(1.0 + mu_plus),
-        _SQRT2 * root_minus / math.sqrt(1.0 + mu_minus),
-    )
-
-
-def _minimize_same_mean(
-    p1: GaussianParams, p2: GaussianParams, excess: float
-) -> tuple[float, float]:
+def _minimize_same_mean(p1: GaussianParams, p2: GaussianParams, excess: float):
     """Analytic route of ``minimize_overlap``, given D - 4; the caller has checked the means."""
     mu_minus, mu_plus = _ratio_extremes(p2.gamma / p1.gamma, excess)
-    f_plus, f_minus = _extreme_overlaps(mu_plus, mu_minus)
-    if f_plus <= f_minus:
-        mu, val = mu_plus, f_plus
-    else:
-        mu, val = mu_minus, f_minus
+    f_plus, f_minus = _overlap(1.0, mu_plus, 0.0), _overlap(1.0, mu_minus, 0.0)
+    mu, val = (mu_plus, f_plus) if f_plus <= f_minus else (mu_minus, f_minus)
     return _extreme_angle(p1, p2, mu), val
 
 
 def _round_minimum(g1: float, g2: float, dx: float, dy: float) -> tuple[float, float]:
     """(phi_min, overlap_min) of round states (s = 1) with mean difference (dx, dy).
 
-    Both widths are constant, so I_phi = sqrt(2/(g1+g2)) (g1 g2)^{1/4}
-    exp(-beta_phi^2/(g1+g2)) is least along the mean difference.  Its angle
-    is taken in the upper half plane, which spares atan2 a rounded + pi.
+    Both widths are constant, so I_phi is least along the mean difference.
+    Its angle is taken in the upper half plane, which spares atan2 a rounded + pi.
     """
-    width = g1 + g2
-    value = math.sqrt(2.0 / width) * (g1 * g2) ** 0.25 * math.exp(-(dx * dx + dy * dy) / width)
+    value = _overlap(g1, g2, dx * dx + dy * dy)
     return wrap_angle(math.atan2(abs(dy), math.copysign(1.0, dy) * dx)), value
 
 
@@ -161,13 +139,6 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     return minimize_overlap_general(p1, p2)
 
 
-#: The slope numerator is sampled at u_k = 2 pi k / 9 (u = 2 phi).  _TRIG
-#: maps the (1, cos u, sin u) coefficients of a first-degree trigonometric
-#: polynomial to its samples; _DFT maps 9 samples of one of degree <= 4 to
-#: its Laurent coefficients c_-4 .. c_4 in z = e^{iu}.
-_SAMPLE_U = 2.0 * np.pi * np.arange(9) / 9.0
-_TRIG = np.array([np.ones(9), np.cos(_SAMPLE_U), np.sin(_SAMPLE_U)])
-_DFT = np.exp(-1j * np.outer(np.arange(-4, 5), _SAMPLE_U)) / 9.0
 #: Coefficients below this fraction of the largest sampled term of the
 #: numerator are roundoff left by its cancellations; trimming them drops
 #: only roots far from the unit circle (round pairs: degree 1).
@@ -177,7 +148,22 @@ _COEFF_TRIM = 1e-13
 _POLISH_STEPS = 60
 
 
-def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
+@functools.cache
+def _sample_tables():
+    """(trig, dft) for the samples at u_k = 2 pi k / 9 (u = 2 phi), built on first use.
+
+    ``trig`` maps (1, cos u, sin u) coefficients of a first-degree trigonometric
+    polynomial to its samples; ``dft`` maps 9 samples of one of degree <= 4 to
+    its Laurent coefficients c_-4 .. c_4 in z = e^{iu}.
+    """
+    import numpy as np
+    sample_u = 2.0 * np.pi * np.arange(9) / 9.0
+    trig = np.array([np.ones(9), np.cos(sample_u), np.sin(sample_u)])
+    dft = np.exp(-1j * np.outer(np.arange(-4, 5), sample_u)) / 9.0
+    return trig, dft
+
+
+def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> list[float]:
     """Approximate critical angles of log I_phi, from a companion matrix.
 
     With u = 2 phi, b1, b2 and beta_phi^2 are first-degree trigonometric
@@ -193,6 +179,8 @@ def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
     Every eigenvalue yields an angle, including those off the unit circle;
     the caller evaluates them all.
     """
+    import numpy as np
+    trig, dft = _sample_tables()
     rows = []
     for p in (p1, p2):
         half_sum = 0.5 * p.gamma * (p.s + 1.0 / p.s)
@@ -202,7 +190,7 @@ def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
     dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
     rows.append((0.5 * (dx * dx + dy * dy), 0.5 * (dx * dx - dy * dy), dx * dy))
     rows += [(0.0, sin_c, -cos_c) for _, cos_c, sin_c in rows]  # d/du
-    b1, b2, q, db1, db2, dq = np.array(rows) @ _TRIG
+    b1, b2, q, db1, db2, dq = np.array(rows) @ trig
     prod, width = b1 * b2, b1 + b2
     dprod, dwidth = db1 * b2 + b1 * db2, db1 + db2
     terms = np.array(
@@ -213,14 +201,14 @@ def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
             -4.0 * prod * width * dq,
         ]
     )
-    coeffs = _DFT @ terms.sum(axis=0)
+    coeffs = dft @ terms.sum(axis=0)
     keep = np.flatnonzero(np.abs(coeffs) > _COEFF_TRIM * np.abs(terms).max())
     if keep.size < 2:
-        return np.empty(0)
+        return []
     poly = coeffs[keep[0] : keep[-1] + 1]
     companion = np.eye(poly.size - 1, k=-1, dtype=complex)
     companion[:, -1] = -poly[:-1] / poly[-1]
-    return np.angle(np.linalg.eigvals(companion)) / 2.0
+    return (np.angle(np.linalg.eigvals(companion)) / 2.0).tolist()
 
 
 def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
@@ -256,8 +244,7 @@ def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
             + 2.0 * dexpo * rate
             + expo * (curv - 2.0 * rate * rate)
         )
-        value = math.sqrt(2.0 / width) * (b1 * b2) ** 0.25 * math.exp(-expo)
-        return value, slope, second
+        return _overlap(b1, b2, beta * beta), slope, second
 
     return at
 
@@ -322,7 +309,7 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     """
     slopes_at = _overlap_slopes(p1, p2)
     seeds = [p.theta + 0.5 * math.pi for p in (p1, p2) if p.s > 1.0]
-    angles = sorted(wrap_angle(phi) for phi in _critical_angles(p1, p2).tolist() + seeds)
+    angles = sorted(wrap_angle(phi) for phi in _critical_angles(p1, p2) + seeds)
     found = [slopes_at(phi) for phi in angles]
     best_value, best_phi = slopes_at(0.0)[0], 0.0
     last = len(angles) - 1

@@ -419,6 +419,7 @@ class TestColdImports:
         a = write_state(tmp_path, "a.json", GaussianParams(2.0))
         b = write_state(tmp_path, "b.json", GaussianParams(3.0, 1.4, 0.5, 0.5, -0.3))
         c = write_state(tmp_path, "c.json", GaussianParams(4.0, 1.4, math.pi / 3))
+        d = write_state(tmp_path, "d.json", GaussianParams(3.0, 1.0, 0.0, 0.5, -0.3))
         cov = tmp_path / "cov.json"
         cov.write_text(json.dumps({"cov": [[4.0, 0.5], [0.5, 1.0]], "mean": [0.2, -0.1]}))
         argvs = [
@@ -427,7 +428,12 @@ class TestColdImports:
             ["solve-s2", "--g1", "2", "--g2", "4", "--s1", "2", "--theta", "1"],
             ["fidelity", "--a", str(cov), "--b", b],
             ["overlap", "--a", str(cov), "--b", b, "--phi", "0.7"],
-            ["classify", "--a", a, "--b", c],  # the boundary: its minimum takes numpy
+            ["classify", "--a", a, "--b", c],  # same mean
+            ["classify", "--a", a, "--b", d],  # round, displaced
+            ["min-overlap", "--a", a, "--b", c, "--method", "analytic"],
+            ["min-overlap", "--a", a, "--b", d, "--method", "analytic"],
+            # the boundary: a squeezed displaced minimum takes the companion matrix
+            ["min-overlap", "--a", a, "--b", b, "--method", "analytic"],
         ]
         code = (
             "import contextlib, io, sys\n"
@@ -441,7 +447,7 @@ class TestColdImports:
         )
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False, False, False, False, True]"
+        assert proc.stdout.strip() == str([False] * 10 + [True])
 
     def test_lazy_exports_resolve_to_their_modules(self):
         assert set(EAGER_EXPORTS) <= set(gdist.__all__)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import mpmath
@@ -178,6 +179,28 @@ class TestMinimizeOverlap:
             _, scanned = minimize_overlap_scan(p1, p2)
             assert abs(analytic - scanned) < 1e-8
             assert analytic <= scanned + 1e-12
+
+    def test_same_mean_minimum_within_ulps_of_mpmath(self):
+        # wide domain: the minimum is the smaller of f(mu) = sqrt(2 sqrt(mu) / (1 + mu))
+        # at the two ratio extremes, to 1.5 ulp of 50-digit f
+        draws = random.Random(18)
+
+        def draw():
+            gamma = math.exp(draws.uniform(0.0, math.log(1e8)))
+            s = math.exp(draws.uniform(0.0, math.log(1e6)))
+            return GaussianParams(gamma, s, draws.uniform(0.0, math.pi))
+
+        errors = []
+        with mpmath.workdps(50):
+            for _ in range(2000):
+                p1, p2 = draw(), draw()
+                _, value = minimize_overlap(p1, p2)
+                expected = min(
+                    mpmath.sqrt(2 * mpmath.sqrt(mu) / (1 + mu))
+                    for mu in map(mpmath.mpf, ratio_extremes(p1, p2))
+                )
+                errors.append(float(abs(value - expected)) / math.ulp(float(expected)))
+        assert max(errors) <= 1.5
 
 
 class TestMinimizeOverlapGeneral:
