@@ -4,7 +4,7 @@ Measuring the quadrature X_phi on a Gaussian state gives a normal outcome
 distribution p(x) = sqrt(2/(pi B)) exp(-2 (x - a_phi)^2 / B) with width
 B(phi) = gamma [s cos^2(phi - theta) + s^{-1} sin^2(phi - theta)] and mean
 a_phi the projection of the mean amplitude onto the measurement direction.
-Their overlap I_phi: one scalar kernel ``_overlap``, one array twin ``overlap_grid``.
+Their overlap I_phi: one scalar kernel ``_overlap``; only the scan calls its twin ``overlap_grid``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
 
 
 def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np.ndarray:
-    """Vectorized I_phi over an array of angles."""
+    """Vectorized I_phi over an array of angles, in ``_overlap``'s arithmetic."""
     import numpy as np
     phis = np.asarray(phis, dtype=float)
     d1 = phis - p1.theta
@@ -58,7 +58,8 @@ def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np
     b1 = _width(p1, np.cos(d1), np.sin(d1))
     b2 = _width(p2, np.cos(d2), np.sin(d2))
     beta = (p2.alpha_x - p1.alpha_x) * np.cos(phis) + (p2.alpha_y - p1.alpha_y) * np.sin(phis)
-    return np.sqrt(2.0 / (b1 + b2)) * (b1 * b2) ** 0.25 * np.exp(-beta**2 / (b1 + b2))
+    width = b1 + b2
+    return np.sqrt(2.0 * np.sqrt(b1 * b2) / width) * np.exp(-beta**2 / width)
 
 
 def minimize_overlap_scan(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:

@@ -11,8 +11,8 @@ import pytest
 
 import gdist
 from gdist import GaussianParams, fidelity_params, minimize_overlap_general
-from gdist.cli import FIGURES, emit_figure_data, main
-from gdist.homodyne import minimize_overlap_scan, overlap_grid
+from gdist.cli import FIGURES, emit_figure_data, linspace, main
+from gdist.homodyne import minimize_overlap_scan, overlap_at
 
 from crosscheck import mpmath_povm_overlap
 
@@ -181,6 +181,18 @@ class TestOverlapCommands:
         assert abs(float(first[2]) - 2.0 / math.sqrt(5.0)) < 1e-12
         assert run_cli(["profile", "--a", vac, "--b", sq, "--steps", "1"]) == (2, "")
 
+    def test_profile_rows_are_overlap_at(self, tmp_path):
+        # each row is the overlap command at its angle, to the last bit
+        p1 = GaussianParams(2.0, 3.0, 0.3, -0.2, 0.4)
+        p2 = GaussianParams(1.5, 2.0, 1.1, 0.8, -0.4)
+        a, b = write_state(tmp_path, "a.json", p1), write_state(tmp_path, "b.json", p2)
+        code, out = run_cli(["profile", "--a", a, "--b", b, "--steps", "360"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        phis = np.linspace(0.0, math.pi, 360, endpoint=False).tolist()
+        assert [float(row[0]) for row in rows] == phis
+        assert [row[1] for row in rows] == [repr(overlap_at(p1, p2, phi)) for phi in phis]
+
     def test_min_overlap_methods_agree(self, tmp_path, vac):
         sq = write_state(tmp_path, "sq.json", GaussianParams(1.0, 4.0, 0.3))
         code, out = run_cli(["min-overlap", "--a", vac, "--b", sq, "--method", "both"])
@@ -268,7 +280,7 @@ class TestFigureCommand:
 
 
 def rowwise_figure_csv(which, s2_range, phi_steps):
-    """The figure CSV formatted one row at a time, five reprs per row: the byte reference."""
+    """The figure CSV row by row from ``overlap_at``, five reprs per row: the byte reference."""
     g1, g2, s1, theta_tilde = FIGURES[which]
     lo, hi, steps = s2_range
     out = ["s2,phi,I_phi,F,norm_diff\n"]
@@ -277,8 +289,8 @@ def rowwise_figure_csv(which, s2_range, phi_steps):
     for s2 in np.linspace(lo, hi, steps):
         p2 = GaussianParams(g2, float(s2), theta_tilde)
         fid = fidelity_params(p1, p2).fidelity
-        vals = overlap_grid(p1, p2, phis)
-        for phi, val in zip(phis, vals):
+        for phi in phis:
+            val = overlap_at(p1, p2, float(phi))
             cells = (s2, phi, val, fid, (val - fid) / fid)
             out.append(",".join(repr(float(x)) for x in cells) + "\n")
     return "".join(out)
@@ -286,7 +298,9 @@ def rowwise_figure_csv(which, s2_range, phi_steps):
 
 class TestFigureBytes:
     @pytest.mark.parametrize("which", list(FIGURES))
-    @pytest.mark.parametrize("grid", [None, ((1.0, 5.0, 7), 33)], ids=["default", "7x33"])
+    @pytest.mark.parametrize(
+        "grid", [None, ((1.0, 5.0, 7), 33), ((0.25, 1.0, 4), 9)], ids=["default", "7x33", "s2<=1"]
+    )
     def test_matches_rowwise_formatter(self, which, grid):
         if grid is None:  # the grid the command defaults to
             code, got = run_cli(["figure", "--which", which])
@@ -302,6 +316,37 @@ class TestFigureBytes:
             row, (line, ref) = next((k, lr) for k, lr in enumerate(pairs) if lr[0] != lr[1])
             pytest.fail(f"row {row}: {line!r} != {ref!r}")
         assert got == want
+
+
+class TestLinspace:
+    @pytest.mark.parametrize(
+        "start, stop, num, endpoint",
+        [
+            (0.0, math.pi, 720, False),  # figure and profile angles
+            (1.0, 5.0, 200, True),  # figure s2 axis
+            (0.0, 8.0, 32, True),  # povm-scan r
+            (0.0, math.pi, 64, False),  # povm-scan theta_u
+            (0.0, 8.0, 1, True),
+            (-0.0, 8.0, 1, True),
+            (0.0, math.pi, 1, False),
+            (2.5, 2.5, 5, True),
+            (3.0, -1.0, 7, True),
+            (0.0, 5e-324, 4, True),  # the step underflows to 0
+            (1e-300, 1e300, 11, False),
+        ],
+    )
+    def test_bits_of_numpy(self, start, stop, num, endpoint):
+        got = linspace(start, stop, num, endpoint=endpoint)
+        want = np.linspace(start, stop, num, endpoint=endpoint).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_bits_of_numpy_on_random_ranges(self, rng):
+        for _ in range(500):
+            start, stop = rng.uniform(-1e3, 1e3, size=2) * 10.0 ** rng.integers(-8, 8, size=2)
+            num, endpoint = int(rng.integers(1, 300)), bool(rng.integers(2))
+            got = linspace(float(start), float(stop), num, endpoint=endpoint)
+            want = np.linspace(start, stop, num, endpoint=endpoint).tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 class TestOracleCheckCommand:
@@ -375,6 +420,14 @@ class TestPovmScanCommand:
         first = lines[1].split(",")
         assert abs(float(first[1]) - math.exp(-0.25)) < 1e-9
 
+    def test_single_step_is_heterodyne(self, tmp_path, vac):
+        coh = write_state(tmp_path, "coh.json", GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0))
+        code, out = run_cli(["povm-scan", "--a", vac, "--b", coh, "--r-steps", "1"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[0] == "0.0"
+
     @pytest.mark.parametrize("r_max", [40.0, 360.0])
     def test_extreme_r_rows_match_mpmath(self, tmp_path, r_max):
         # e^{2r} is finite up to r = 354.9; r = 360 must not print inf or nan either
@@ -432,6 +485,9 @@ class TestColdImports:
             ["classify", "--a", a, "--b", d],  # round, displaced
             ["min-overlap", "--a", a, "--b", c, "--method", "analytic"],
             ["min-overlap", "--a", a, "--b", d, "--method", "analytic"],
+            ["profile", "--a", a, "--b", b, "--steps", "16"],
+            ["figure", "--which", "fig4", "--s2-steps", "3", "--phi-steps", "8"],
+            ["povm-scan", "--a", a, "--b", c, "--r-steps", "4", "--theta-steps", "8"],
             # the boundary: a squeezed displaced minimum takes the companion matrix
             ["min-overlap", "--a", a, "--b", b, "--method", "analytic"],
         ]
@@ -447,7 +503,7 @@ class TestColdImports:
         )
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str([False] * 10 + [True])
+        assert proc.stdout.strip() == str([False] * 13 + [True])
 
     def test_lazy_exports_resolve_to_their_modules(self):
         assert set(EAGER_EXPORTS) <= set(gdist.__all__)
