@@ -151,10 +151,6 @@ def _squeeze_blocks(r: float, dim: int) -> list[np.ndarray]:
 
 
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
-    if nbar <= 0.0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return w
     ratio = nbar / (nbar + 1.0)
     return ratio ** np.arange(dim) / (nbar + 1.0)
 

@@ -44,8 +44,7 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     d1, d2 = phi - p1.theta, phi - p2.theta
     b1 = _width(p1, math.cos(d1), math.sin(d1))
     b2 = _width(p2, math.cos(d2), math.sin(d2))
-    cp, sp = math.cos(phi), math.sin(phi)
-    beta_phi = (p2.alpha_x * cp + p2.alpha_y * sp) - (p1.alpha_x * cp + p1.alpha_y * sp)
+    beta_phi = (p2.alpha_x - p1.alpha_x) * math.cos(phi) + (p2.alpha_y - p1.alpha_y) * math.sin(phi)
     return _overlap(b1, b2, beta_phi * beta_phi)
 
 

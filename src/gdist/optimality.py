@@ -11,9 +11,11 @@ with D the squeeze mismatch; they depend on the pair only through
 (gamma1, gamma2, D).  For different means only round pairs have a closed
 form (``_round_minimum``).  In general, with u = 2 phi, the widths and
 the squared mean offset are first-degree trigonometric polynomials in u,
-so the critical points of log I_phi are the roots of one of degree at
-most 4: ``minimize_overlap_general`` takes them from a companion matrix
-and polishes them with safeguarded Newton steps, with no grid.
+so the critical points of log I_phi are the roots of one of degree 3:
+``minimize_overlap_general`` samples it at 7 angles, takes its roots from
+a companion matrix and polishes them with safeguarded Newton steps, with
+no grid.  One evaluation, ``_overlap_slopes``, serves the samples and the
+polish.
 
 ``classify_pair`` is the one classifier.  It reads the tolerance
 (``default_tol``, overridable through GDIST_TOL) once and decides every
@@ -35,7 +37,7 @@ from .errors import UnsupportedPairError
 from .fidelity import (
     _fidelity, _thermal_excess, fidelity_params, squeeze_excess, thermal_ratio_sum
 )
-from .homodyne import _overlap
+from .homodyne import _overlap, _width
 from .states import (
     GaussianParams,
     covariance_entries,
@@ -150,59 +152,41 @@ _POLISH_STEPS = 60
 
 @functools.cache
 def _sample_tables():
-    """(trig, dft) for the samples at u_k = 2 pi k / 9 (u = 2 phi), built on first use.
+    """(phis, dft) for the samples at u_k = 2 pi k / 7 (u = 2 phi), built on first use.
 
-    ``trig`` maps (1, cos u, sin u) coefficients of a first-degree trigonometric
-    polynomial to its samples; ``dft`` maps 9 samples of one of degree <= 4 to
-    its Laurent coefficients c_-4 .. c_4 in z = e^{iu}.
+    ``phis`` holds the sample angles phi_k = u_k / 2; ``dft`` maps 7 samples
+    of a trigonometric polynomial of degree <= 3 in u to its Laurent
+    coefficients c_-3 .. c_3 in z = e^{iu}.
     """
     import numpy as np
-    sample_u = 2.0 * np.pi * np.arange(9) / 9.0
-    trig = np.array([np.ones(9), np.cos(sample_u), np.sin(sample_u)])
-    dft = np.exp(-1j * np.outer(np.arange(-4, 5), sample_u)) / 9.0
-    return trig, dft
+    sample_u = 2.0 * np.pi * np.arange(7) / 7.0
+    dft = np.exp(-1j * np.outer(np.arange(-3, 4), sample_u)) / 7.0
+    return (0.5 * sample_u).tolist(), dft
 
 
-def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> list[float]:
+def _critical_angles(slopes_at) -> list[float]:
     """Approximate critical angles of log I_phi, from a companion matrix.
 
     With u = 2 phi, b1, b2 and beta_phi^2 are first-degree trigonometric
-    polynomials in u, so with P = b1 b2 and S = b1 + b2
+    polynomials in u, so with P = b1 b2 and S = b1 + b2 the numerator that
+    ``slopes_at`` (an ``_overlap_slopes`` evaluator) yields,
 
-        4 P S^2 dlogI/du = S (S P' - 2 P S') + 4 P (Q S' - S Q'),  Q = beta_phi^2,
+        N = 4 P S^2 dlogI/du = S (S P' - 2 P S') + 4 P (Q S' - S Q'),  Q = beta_phi^2,
 
     has degree at most 4 by counting.  The top harmonics of S P' - 2 P S'
-    and of Q S' - S Q' cancel, so the degree is at most 3 and at most 6
-    roots remain after trimming.  They are the arguments of the eigenvalues
-    of the companion matrix of z^4 times its Laurent series (Boyd, Solving
-    Transcendental Equations, SIAM 2014).
+    and of Q S' - S Q' cancel, so the degree is at most 3: its 7 samples at
+    u_k = 2 pi k / 7 give the Laurent coefficients c_-3 .. c_3 exactly, and
+    at most 6 roots remain after trimming.  They are the arguments of the
+    eigenvalues of the companion matrix of z^3 times the Laurent series
+    (Boyd, Solving Transcendental Equations, SIAM 2014).
     Every eigenvalue yields an angle, including those off the unit circle;
     the caller evaluates them all.
     """
     import numpy as np
-    trig, dft = _sample_tables()
-    rows = []
-    for p in (p1, p2):
-        half_sum = 0.5 * p.gamma * (p.s + 1.0 / p.s)
-        half_diff = 0.5 * p.gamma * (p.s - 1.0 / p.s)
-        angle = 2.0 * p.theta
-        rows.append((half_sum, half_diff * math.cos(angle), half_diff * math.sin(angle)))
-    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
-    rows.append((0.5 * (dx * dx + dy * dy), 0.5 * (dx * dx - dy * dy), dx * dy))
-    rows += [(0.0, sin_c, -cos_c) for _, cos_c, sin_c in rows]  # d/du
-    b1, b2, q, db1, db2, dq = np.array(rows) @ trig
-    prod, width = b1 * b2, b1 + b2
-    dprod, dwidth = db1 * b2 + b1 * db2, db1 + db2
-    terms = np.array(
-        [
-            width * width * dprod,
-            -2.0 * prod * width * dwidth,
-            4.0 * prod * q * dwidth,
-            -4.0 * prod * width * dq,
-        ]
-    )
-    coeffs = dft @ terms.sum(axis=0)
-    keep = np.flatnonzero(np.abs(coeffs) > _COEFF_TRIM * np.abs(terms).max())
+    phis, dft = _sample_tables()
+    _, _, _, numer, scale = zip(*map(slopes_at, phis))
+    coeffs = dft @ np.array(numer)
+    keep = np.flatnonzero(np.abs(coeffs) > _COEFF_TRIM * max(scale))
     if keep.size < 2:
         return []
     poly = coeffs[keep[0] : keep[-1] + 1]
@@ -212,31 +196,34 @@ def _critical_angles(p1: GaussianParams, p2: GaussianParams) -> list[float]:
 
 
 def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
-    """phi -> (I_phi, dlogI/dphi, d^2 logI/dphi^2), evaluated from the widths.
+    """phi -> (I_phi, dlogI/dphi, d^2 logI/dphi^2, N, |N|_max), evaluated from the widths.
 
-    Widths use the product form gamma (s cos^2 + sin^2 / s), which keeps
-    its digits at the narrow minimum of a strongly squeezed state.
+    The widths come from ``homodyne._width``, whose product form keeps its
+    digits at the narrow minimum of a strongly squeezed state.  N =
+    2 b1 b2 (b1 + b2)^2 dlogI/dphi is the slope numerator of
+    ``_critical_angles``, and |N|_max the size of its largest term, the
+    scale against which its Laurent coefficients are trimmed.
     """
-    th1, long1, short1 = p1.theta, p1.gamma * p1.s, p1.gamma / p1.s
-    th2, long2, short2 = p2.theta, p2.gamma * p2.s, p2.gamma / p2.s
+    # dB/dphi = amp sin cos and d^2B/dphi^2 = amp (cos^2 - sin^2) of phi - theta
+    th1, amp1 = p1.theta, -2.0 * p1.gamma * (p1.s - 1.0 / p1.s)
+    th2, amp2 = p2.theta, -2.0 * p2.gamma * (p2.s - 1.0 / p2.s)
     dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
 
-    def at(phi: float) -> tuple[float, float, float]:
+    def at(phi: float) -> tuple[float, float, float, float, float]:
         c1, s1 = math.cos(phi - th1), math.sin(phi - th1)
         c2, s2 = math.cos(phi - th2), math.sin(phi - th2)
-        b1 = long1 * c1 * c1 + short1 * s1 * s1
-        b2 = long2 * c2 * c2 + short2 * s2 * s2
-        db1 = -2.0 * (long1 - short1) * s1 * c1
-        db2 = -2.0 * (long2 - short2) * s2 * c2
-        ddb1 = -2.0 * (long1 - short1) * (c1 * c1 - s1 * s1)
-        ddb2 = -2.0 * (long2 - short2) * (c2 * c2 - s2 * s2)
+        b1, b2 = _width(p1, c1, s1), _width(p2, c2, s2)
+        db1, db2 = amp1 * s1 * c1, amp2 * s2 * c2
+        ddb1, ddb2 = amp1 * (c1 * c1 - s1 * s1), amp2 * (c2 * c2 - s2 * s2)
         cp, sp = math.cos(phi), math.sin(phi)
         beta, dbeta = dx * cp + dy * sp, dy * cp - dx * sp
         width = b1 + b2
         rate, curv = (db1 + db2) / width, (ddb1 + ddb2) / width
         r1, r2 = db1 / b1, db2 / b2
         expo, dexpo = beta * beta / width, 2.0 * beta * dbeta / width
-        slope = -0.5 * rate + 0.25 * (r1 + r2) - dexpo + expo * rate
+        # the four terms of the slope; times ``weight`` those of N
+        t1, t2, t3, t4 = -0.5 * rate, 0.25 * (r1 + r2), -dexpo, expo * rate
+        slope = t1 + t2 + t3 + t4
         second = (
             -0.5 * (curv - rate * rate)
             + 0.25 * (ddb1 / b1 - r1 * r1 + ddb2 / b2 - r2 * r2)
@@ -244,26 +231,31 @@ def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
             + 2.0 * dexpo * rate
             + expo * (curv - 2.0 * rate * rate)
         )
-        return _overlap(b1, b2, beta * beta), slope, second
+        weight = 2.0 * b1 * b2 * width * width
+        largest = weight * max(abs(t1), abs(t2), abs(t3), abs(t4))
+        return _overlap(b1, b2, beta * beta), slope, second, weight * slope, largest
 
     return at
 
 
-def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far_slope: float):
+def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far_bounds: bool):
     """Safeguarded Newton iteration on dlogI/dphi between ``phi`` and ``far``.
 
-    ``far`` is the neighbouring candidate in the downhill direction.  Once
-    the slope is known to be negative at the lower end of the interval and
-    positive at the upper end, the interval holds a minimum: each iterate
-    narrows it by the sign of its slope, and a Newton step that leaves it,
-    starts from a concave point or fails to halve the previous move becomes
-    a bisection (the safeguard of Numerical Recipes' ``rtsafe``).  Before
-    that, a step out of the interval ends the descent; beyond ``far`` the
-    next candidate's descent takes over.  Returns the lowest (I_phi, phi)
-    visited after the start, or (inf, phi) when the start is stationary.
+    ``far`` is the neighbouring candidate in the downhill direction, and
+    ``far_bounds`` tells whether it bounds a minimum: its slope points back,
+    or it lies higher than the start, so the way down must turn before it.
+    Once the slope is known to be negative at the lower end of the interval
+    and positive at the upper end, or ``far`` bounds it, the interval holds
+    a minimum: each iterate narrows it by the sign of its slope, and a
+    Newton step that leaves it, starts from a concave point or fails to
+    halve the previous move becomes a bisection (the safeguard of Numerical
+    Recipes' ``rtsafe``).  Before that, a step out of the interval ends the
+    descent; beyond ``far`` the next candidate's descent takes over.
+    Returns the lowest (I_phi, phi) visited after the start, or (inf, phi)
+    when the start is stationary.
     """
     lo, hi = (phi, far) if far > phi else (far, phi)
-    neg_lo, pos_hi = far < phi and far_slope < 0.0, far > phi and far_slope > 0.0
+    neg_lo, pos_hi = far < phi and far_bounds, far > phi and far_bounds
     moved = hi - lo
     best = (math.inf, phi)
     for _ in range(_POLISH_STEPS):
@@ -285,7 +277,7 @@ def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far
         if step == phi:
             break
         moved, phi = abs(step - phi), step
-        value, slope, second = slopes_at(phi)
+        value, slope, second, _, _ = slopes_at(phi)
         if value <= best[0]:
             best = (value, phi)
     return best
@@ -304,17 +296,19 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     stationary descends towards its downhill neighbour by safeguarded
     Newton steps (``_descend``); when the neighbour's slope points back,
     only the lower of the two descends.  I_phi is evaluated at every
-    candidate, every iterate and phi = 0, and the smallest value wins.
-    Returns (phi_min, overlap_min) with phi_min in [0, pi).
+    candidate and every iterate, and the smallest value wins; phi = 0 is
+    evaluated only when there is no candidate at all (no critical angle
+    and no squeezed state).  Returns (phi_min, overlap_min) with phi_min
+    in [0, pi).
     """
     slopes_at = _overlap_slopes(p1, p2)
     seeds = [p.theta + 0.5 * math.pi for p in (p1, p2) if p.s > 1.0]
-    angles = sorted(wrap_angle(phi) for phi in _critical_angles(p1, p2) + seeds)
+    angles = sorted(wrap_angle(phi) for phi in _critical_angles(slopes_at) + seeds) or [0.0]
     found = [slopes_at(phi) for phi in angles]
-    best_value, best_phi = slopes_at(0.0)[0], 0.0
+    best_value, best_phi = math.inf, 0.0
     last = len(angles) - 1
-    for k, (phi, (value, slope, second)) in enumerate(zip(angles, found)):
-        if value <= best_value:  # on a tie the candidate beats phi = 0
+    for k, (phi, (value, slope, second, _, _)) in enumerate(zip(angles, found)):
+        if value <= best_value:
             best_value, best_phi = value, phi
         if slope < 0.0:  # downhill towards the next candidate, cyclically
             j = k + 1 if k < last else 0
@@ -322,10 +316,11 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
         else:
             j = k - 1 if k > 0 else last
             far = angles[j] - (0.0 if k > 0 else math.pi)
-        far_value, far_slope, _ = found[j]
+        far_value, far_slope, *_ = found[j]
         if far_slope * slope < 0.0 and far_value < value:
             continue
-        value, phi = _descend(slopes_at, phi, slope, second, far, far_slope)
+        bounds = far_slope * slope < 0.0 or far_value > value
+        value, phi = _descend(slopes_at, phi, slope, second, far, bounds)
         if value <= best_value:  # later iterates are more polished
             best_value, best_phi = value, phi
     return wrap_angle(best_phi), best_value

@@ -85,6 +85,13 @@ class TestBuildState:
         assert np.max(np.abs(rho.matrix - np.diag(diag))) < 1e-15
         assert 0.0 <= rho.leakage < 1e-17
 
+    def test_pure_thermal_weights(self):
+        # nbar = 0: ratio 0 and 0.0 ** 0 = 1 give the vacuum weights exactly
+        for dim in (1, 2, 150, 1024):
+            expected = np.zeros(dim)
+            expected[0] = 1.0
+            assert np.array_equal(fock.thermal_weights(0.0, dim), expected)
+
     def test_coherent_poisson(self):
         rho = build_state(GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0), 40)
         diag = np.diagonal(rho.matrix).real

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -149,6 +150,37 @@ class TestOverlapAt:
             b1, b2 = widths
             expected = mpmath.sqrt(2 / (b1 + b2)) * (b1 * b2) ** mpmath.mpf(0.25)
         assert abs(overlap_at(p1, p2, phi) / expected - 1) <= 1e-12
+
+    def test_large_means_match_mpmath(self):
+        # means of up to 1e4 a few units apart: beta_phi taken from the mean
+        # difference keeps its digits, where the difference of the two
+        # projections loses them to rounding at 1e4
+        rng = random.Random(3)
+
+        def state(ax, ay):
+            return GaussianParams(
+                rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, math.pi), ax, ay
+            )
+
+        with mpmath.workdps(50):
+            for _ in range(300):
+                ax, ay = rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)
+                p1 = state(ax, ay)
+                p2 = state(ax + rng.uniform(-2.0, 2.0), ay + rng.uniform(-2.0, 2.0))
+                phi = rng.uniform(0.0, math.pi)
+                mphi = mpmath.mpf(phi)
+                widths = []
+                for p in (p1, p2):
+                    d = mphi - mpmath.mpf(p.theta)
+                    s = mpmath.mpf(p.s)
+                    widths.append(p.gamma * (s * mpmath.cos(d) ** 2 + mpmath.sin(d) ** 2 / s))
+                width = widths[0] + widths[1]
+                dx = mpmath.mpf(p2.alpha_x) - mpmath.mpf(p1.alpha_x)
+                dy = mpmath.mpf(p2.alpha_y) - mpmath.mpf(p1.alpha_y)
+                beta = dx * mpmath.cos(mphi) + dy * mpmath.sin(mphi)
+                prefactor = mpmath.sqrt(2 * mpmath.sqrt(widths[0] * widths[1]) / width)
+                expected = prefactor * mpmath.exp(-(beta**2) / width)
+                assert abs(overlap_at(p1, p2, phi) / expected - 1) <= 1e-14
 
     def test_fuchs_caves_bound_random(self, rng):
         for _ in range(500):

@@ -23,7 +23,7 @@ from gdist import (
 )
 from gdist import optimality
 from gdist.homodyne import minimize_overlap_scan, overlap_grid
-from gdist.optimality import PairClass, _critical_angles, _round_minimum
+from gdist.optimality import PairClass, _critical_angles, _overlap_slopes, _round_minimum
 from gdist.states import DEFAULT_TOL
 
 from conftest import log_uniform, matmul_covariance, random_params
@@ -259,7 +259,53 @@ class TestMinimizeOverlapGeneral:
         assert 0.0 <= phi_min < math.pi
         assert overlap_at(p1, p2, phi_min) == pytest.approx(exact, abs=1e-15)
         # the top harmonic cancels identically: degree 3, at most 6 roots
-        assert len(_critical_angles(p1, p2)) <= 6
+        assert len(_critical_angles(_overlap_slopes(p1, p2))) <= 6
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        pair=state_pairs(s_hi=1e6, gamma_hi=1e6),
+        shift=log_uniform(1e-2, 1e3),
+        phi=st.floats(0.0, math.pi, exclude_max=True),
+    )
+    def test_seven_samples_give_the_slope_numerator(self, pair, shift, phi):
+        # the top harmonic of N cancels, so its 7 samples fix the Laurent
+        # series c_-3 .. c_3, which reproduces N at any other angle
+        p1, q = pair
+        p2 = GaussianParams(q.gamma, q.s, q.theta, shift * q.alpha_x, shift * q.alpha_y)
+        slopes_at = _overlap_slopes(p1, p2)
+        phis, dft = optimality._sample_tables()
+        assert phis == pytest.approx([math.pi * k / 7 for k in range(7)], abs=1e-15)
+        samples = [slopes_at(x) for x in phis]
+        coeffs = dft @ np.array([sample[3] for sample in samples])
+        scale = max(sample[4] for sample in samples)
+        series = sum(c * np.exp(2j * m * phi) for m, c in zip(range(-3, 4), coeffs))
+        assert abs(series - slopes_at(phi)[3]) <= 1e-12 * scale
+
+    def test_slope_numerator_matches_slope(self):
+        # N = 2 b1 b2 (b1 + b2)^2 dlogI/dphi, from the same widths as overlap_at
+        p1 = GaussianParams(2.0, 3.0, 0.4, 0.1, 0.2)
+        p2 = GaussianParams(1.5, 2.0, 1.1, 1.0, -0.3)
+        slopes_at = _overlap_slopes(p1, p2)
+        for phi in np.linspace(0.0, math.pi, 13):
+            value, slope, _, numer, largest = slopes_at(phi)
+            b1, b2 = (
+                p.gamma * (p.s * math.cos(phi - p.theta) ** 2 + math.sin(phi - p.theta) ** 2 / p.s)
+                for p in (p1, p2)
+            )
+            assert value == overlap_at(p1, p2, phi)
+            assert numer == pytest.approx(2.0 * b1 * b2 * (b1 + b2) ** 2 * slope, rel=1e-14)
+            assert abs(numer) <= 4.0 * largest  # a sum of four terms
+
+    def test_flat_minimum_angle(self):
+        # I_phi is flat to the last bit around phi = 0 here; the angle must
+        # still be the critical one, along the mean difference
+        p1 = GaussianParams(8.03457151502443)
+        p2 = GaussianParams(
+            4.821188044040765, 1.0, 0.0, -0.059246365739748785, 1.4765786116603348e-09
+        )
+        phi_min, value = minimize_overlap_general(p1, p2)
+        assert phi_min == pytest.approx(3.1415926286671065, abs=1e-12)
+        assert value == _round_minimum(p1.gamma, p2.gamma, p2.alpha_x, p2.alpha_y)[1]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(state_pairs(s_hi=1e4))
@@ -287,6 +333,30 @@ class TestMinimizeOverlapGeneral:
                 (5.092020035971703, 800.0179641890584, 0.5058795093371745),
                 (2.357736406304162, 2309.569300376786, 0.5127820194090252, 0.35468, 0.81524),
             ),
+            # found once the samples came from the product-form widths
+            (
+                (48971995.43798963, 8148.484792556751, 0.09555938471242792),
+                (
+                    56664029.2138057, 78619.37718680695, 0.095537188166158,
+                    0.8591069207149881, -2.733705115207321,
+                ),
+            ),
+            # a concave candidate slopes down towards a neighbour that slopes
+            # the same way but lies higher: the minimum lies between them
+            (
+                (6638.354967042627, 11428.122600276325, 1.9777669210960471),
+                (
+                    7076.632361549588, 910808.5293156073, 1.9777736219441255,
+                    0.4051478576335131, -1.1131529846746282,
+                ),
+            ),
+            (
+                (177582.52680755573, 133304.51116014668, 1.8220798261966216),
+                (
+                    118361.52350996171, 6023.179878030748, 1.822099520172859,
+                    -0.3073310806524031, 0.17393123450281475,
+                ),
+            ),
         ],
     )
     def test_narrow_dips_of_strong_squeezing(self, first, second):
@@ -294,9 +364,11 @@ class TestMinimizeOverlapGeneral:
         # of a strongly squeezed state, where the sampled slope polynomial
         # has lost its roots to roundoff
         p1, p2 = GaussianParams(*first), GaussianParams(*second)
-        centre = p1.theta + math.pi / 2
-        window = np.linspace(centre - 50.0 / p1.s, centre + 50.0 / p1.s, 1 << 16)
-        reference = min(dense_min(p1, p2), float(np.min(overlap_grid(p1, p2, window))))
+        reference = dense_min(p1, p2)
+        for p in (p1, p2):
+            centre = p.theta + math.pi / 2
+            window = np.linspace(centre - 50.0 / p.s, centre + 50.0 / p.s, 1 << 16)
+            reference = min(reference, float(np.min(overlap_grid(p1, p2, window))))
         assert minimize_overlap_general(p1, p2)[1] <= reference + 1e-14
 
     @pytest.mark.parametrize(
@@ -317,7 +389,8 @@ class TestMinimizeOverlapGeneral:
     def test_round_equal_widths(self, gamma, pair):
         p1 = GaussianParams(gamma)
         p2 = GaussianParams(gamma, 1.0, 0.0, pair[1].alpha_x, pair[1].alpha_y)
-        assert len(_critical_angles(p1, p2)) == 2  # the numerator collapses to degree 1
+        # the numerator collapses to degree 1
+        assert len(_critical_angles(_overlap_slopes(p1, p2))) == 2
         phi_min, val = minimize_overlap_general(p1, p2)
         # equal round widths: I_phi = exp(-beta_phi^2 / (2 gamma)), lowest along beta
         expected = math.exp(-(p2.alpha_x**2 + p2.alpha_y**2) / (2.0 * gamma))
