@@ -5,8 +5,8 @@ min-overlap, classify, solve-s2), the figure-data sweeps, the Fock-oracle
 validation, and the POVM-family scan.  All angles are radians; output floats
 use the shortest round-trip representation, so CSV output is byte-identical
 between runs.  Exit codes: 0 success, 2 invalid input, 1 numeric failure.
-Only ``oracle-check``, ``min-overlap --method scan|both`` and the minimum of
-a squeezed displaced pair (``min-overlap``, ``povm-scan``) load numpy.
+Only ``oracle-check`` and the minimum of a squeezed displaced pair
+(``min-overlap --method analytic|both``, ``povm-scan``) load numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 
 from .errors import GdistError, NonPhysicalStateError, StateFormatError, UnsupportedPairError
 from .fidelity import fidelity_params, solve_s2_for_optimality
-from .homodyne import _overlap, _width, minimize_overlap_scan, overlap_at
+from .homodyne import _overlap, _width, linspace, minimize_overlap_scan, overlap_at
 from .states import GaussianParams, load_state
 
 
@@ -48,16 +48,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(text)
     return value
-
-
-def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
-    """``np.linspace(start, stop, num, endpoint).tolist()`` bit for bit, in ``math`` alone."""
-    div, delta = max(num - 1, 1) if endpoint else num, stop - start
-    step = delta / div
-    points = [(k * step if step else k / div * delta) + start for k in range(num)]
-    if endpoint and num > 1:
-        points[-1] = stop
-    return points
 
 
 def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -> None:
@@ -142,9 +132,10 @@ def _cmd_min_overlap(args) -> int:
     if args.method in ("scan", "both"):
         results["scan"] = minimize_overlap_scan(p1, p2)
     if args.method == "both":
-        diff = abs(results["analytic"][1] - results["scan"][1])
-        if diff > 1e-8:
-            raise ArithmeticError(f"analytic and scan minima disagree by {diff:.3g}")
+        analytic, scanned = results["analytic"][1], results["scan"][1]
+        # relative: a tiny minimum wrong by a large factor must fail as well
+        if abs(analytic - scanned) > 1e-8 * max(analytic, scanned):
+            raise ArithmeticError(f"analytic minimum {analytic:.4g} but scan {scanned:.4g}")
     phi_min, val_min = results.get("analytic", results.get("scan"))
     out = {
         "phi_min": phi_min,

@@ -4,18 +4,15 @@ Measuring the quadrature X_phi on a Gaussian state gives a normal outcome
 distribution p(x) = sqrt(2/(pi B)) exp(-2 (x - a_phi)^2 / B) with width
 B(phi) = gamma [s cos^2(phi - theta) + s^{-1} sin^2(phi - theta)] and mean
 a_phi the projection of the mean amplitude onto the measurement direction.
-Their overlap I_phi: one scalar kernel ``_overlap``; only the scan calls its twin ``overlap_grid``.
+Their overlap I_phi has one kernel, the scalar ``_overlap``, which the scan
+calls too, so this module runs on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .states import GaussianParams, wrap_angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Points per pass of the scan minimizer: the grid over [0, pi), then each
 #: zoomed grid around the best angle so far.
@@ -23,12 +20,22 @@ _SCAN_POINTS = 4096
 _SCAN_PASSES = 3
 
 
+def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
+    """``np.linspace(start, stop, num, endpoint).tolist()`` bit for bit, in ``math`` alone."""
+    div, delta = max(num - 1, 1) if endpoint else num, stop - start
+    step = delta / div
+    points = [(k * step if step else k / div * delta) + start for k in range(num)]
+    if endpoint and num > 1:
+        points[-1] = stop
+    return points
+
+
 def _width(p: GaussianParams, c, s):
     """B(phi) = gamma (s cos^2 + sin^2 / s) from c, s = cos, sin of phi - theta.
 
     The product form keeps its digits in the narrow direction of a strongly
     squeezed state, where gamma (s + 1/s + (s - 1/s) cos 2(phi - theta)) / 2
-    cancels.  Works on floats and on numpy arrays alike.
+    cancels.
     """
     return p.gamma * (p.s * c**2 + s**2 / p.s)
 
@@ -48,39 +55,25 @@ def overlap_at(p1: GaussianParams, p2: GaussianParams, phi: float) -> float:
     return _overlap(b1, b2, beta_phi * beta_phi)
 
 
-def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis: np.ndarray) -> np.ndarray:
-    """Vectorized I_phi over an array of angles, in ``_overlap``'s arithmetic."""
-    import numpy as np
-    phis = np.asarray(phis, dtype=float)
-    d1 = phis - p1.theta
-    d2 = phis - p2.theta
-    b1 = _width(p1, np.cos(d1), np.sin(d1))
-    b2 = _width(p2, np.cos(d2), np.sin(d2))
-    beta = (p2.alpha_x - p1.alpha_x) * np.cos(phis) + (p2.alpha_y - p1.alpha_y) * np.sin(phis)
-    width = b1 + b2
-    return np.sqrt(2.0 * np.sqrt(b1 * b2) / width) * np.exp(-beta**2 / width)
-
-
 def minimize_overlap_scan(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Scan minimizer: a dense grid over [0, pi), refined by two zoomed grids.
 
     Each zoomed grid spans one spacing of the previous grid on either side of
     the best angle so far, so the spacing falls from 7.7e-4 to 3.8e-7 to
     1.9e-10.  Returns (phi_min, overlap_min), the lowest grid value seen, a
-    tie going to the finer grid.  Serves as the independent verifier of both
-    minimizers in ``optimality`` (the analytic same-mean route and the
-    companion-matrix route); no package code path other than
-    ``min-overlap --method scan|both`` calls it.
+    tie going to the finer grid.  Each angle is one ``overlap_at``, on the
+    grids of ``np.linspace`` (see ``linspace``), so no numpy loads.  Verifies
+    both minimizers in ``optimality`` independently; only ``min-overlap
+    --method scan|both`` calls it.
     """
-    import numpy as np
     lo, span = 0.0, math.pi
     phi_min, val_min = 0.0, math.inf
     for _ in range(_SCAN_PASSES):
-        phis = np.linspace(lo, lo + span, _SCAN_POINTS, endpoint=False)
-        vals = overlap_grid(p1, p2, phis)
-        k = int(np.argmin(vals))
-        if vals[k] <= val_min:
-            phi_min, val_min = float(phis[k]), float(vals[k])
+        phis = linspace(lo, lo + span, _SCAN_POINTS, endpoint=False)
+        vals = [overlap_at(p1, p2, phi) for phi in phis]
+        best = min(vals)
+        if best <= val_min:  # the first lowest angle of the pass, as np.argmin takes it
+            phi_min, val_min = phis[vals.index(best)], best
         step = span / _SCAN_POINTS
         lo, span = phi_min - step, 2.0 * step
     return wrap_angle(phi_min), val_min

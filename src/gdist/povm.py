@@ -38,23 +38,35 @@ def _inverse_squeeze(r: float) -> float:
     return math.exp(-2.0 * r)
 
 
-def _family_overlap(
-    p1: GaussianParams, p2: GaussianParams, inv_s: float, theta_u: float, cap: float
-) -> float:
-    """The overlap at 1/s = ``inv_s`` along theta_u, cap = det(C1 + C2), each sum divided by s."""
+def _angle_terms(p1: GaussianParams, p2: GaussianParams, theta_u: float):
+    """beta.u, beta.u_perp and each state's widths B(theta_u), B(theta_u + pi/2)."""
     dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
     cu, su = math.cos(theta_u), math.sin(theta_u)
-    along, across = dx * cu + dy * su, dy * cu - dx * su
-    traces = []
-    for p in (p1, p2):
-        c, sn = math.cos(theta_u - p.theta), math.sin(theta_u - p.theta)
-        traces.append(_width(p, c, sn) + inv_s * (inv_s * _width(p, sn, c)))
+    trig = [(p, math.cos(theta_u - p.theta), math.sin(theta_u - p.theta)) for p in (p1, p2)]
+    widths = [(_width(p, c, sn), _width(p, sn, c)) for p, c, sn in trig]
+    return dx * cu + dy * su, dy * cu - dx * su, widths
+
+
+def _family_overlap(
+    p1: GaussianParams, p2: GaussianParams, inv_s: float, terms, adjugates: float, cap: float
+) -> float:
+    """The overlap at 1/s = ``inv_s``, each sum divided by s, cap = det(C1 + C2).
+
+    ``terms`` is ``_angle_terms`` at theta_u, ``adjugates`` is ``_adjugates``.
+    """
+    along, across, widths = terms
+    traces = [w + inv_s * (inv_s * w_perp) for w, w_perp in widths]
     det1, det2 = (t + inv_s * (p.gamma * p.gamma + 1.0) for t, p in zip(traces, (p1, p2)))
     pooled = 0.5 * (traces[0] + traces[1]) + inv_s * (0.25 * cap + 1.0)
-    adjugates = _adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)
     mahal = along * along + inv_s * (0.5 * adjugates + inv_s * (across * across))
     ratio = math.sqrt(det1 / pooled) * math.sqrt(det2 / pooled)  # det1 * det2 can overflow
     return math.sqrt(ratio) * math.exp(-0.5 * mahal / pooled)
+
+
+def _adjugates(p1: GaussianParams, p2: GaussianParams) -> float:
+    """beta^T adj(C1) beta + beta^T adj(C2) beta: the part of mahal no angle changes."""
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    return _adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)
 
 
 def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: float) -> float:
@@ -63,7 +75,8 @@ def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: floa
     The member squeezes by degree e^{2r}, r finite and >= 0, along theta_u.
     Closed 2-D Gaussian form; always >= the fidelity of the pair.
     """
-    return _family_overlap(p1, p2, _inverse_squeeze(r), theta_u, fidelity_params(p1, p2).delta_cap)
+    terms, cap = _angle_terms(p1, p2, theta_u), fidelity_params(p1, p2).delta_cap
+    return _family_overlap(p1, p2, _inverse_squeeze(r), terms, _adjugates(p1, p2), cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +100,12 @@ def conjecture_scan(p1: GaussianParams, p2: GaussianParams, r_grid, theta_grid) 
     Reference rows carry the homodyne-detection minimum and the fidelity.
     """
     report = fidelity_params(p1, p2)
+    adjugates = _adjugates(p1, p2)
+    angles = [_angle_terms(p1, p2, float(t)) for t in theta_grid]  # once per theta, not per cell
     rows = []
     for r in map(float, r_grid):
         inv_s = _inverse_squeeze(r)
-        cells = (_family_overlap(p1, p2, inv_s, float(t), report.delta_cap) for t in theta_grid)
+        cells = (_family_overlap(p1, p2, inv_s, a, adjugates, report.delta_cap) for a in angles)
         rows.append(ConjectureScanRow(r, min(cells, default=math.inf)))
     _, homodyne_min = minimize_overlap(p1, p2)
     return ConjectureScan(rows, homodyne_min, report.fidelity)

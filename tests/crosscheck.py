@@ -7,6 +7,8 @@ quantity no command prints, so the tests can compare the two:
   optimality classification without the surface criterion;
 - the trigonometric width ratio B2/B1 and the same-mean overlap f(B2/B1);
 - the homodyne marginal as a density object;
+- the overlap grid scan in numpy (``overlap_grid``, ``scan_numpy``), the twin
+  of ``homodyne.minimize_overlap_scan`` that the bulk scan checks run on;
 - the Weyl characteristic function and the Wigner function;
 - the squeeze mismatch D in its (s + 1/s)(s' + 1/s') form;
 - the Husimi/POVM outcome distributions as numpy 2x2 products: the squeeze
@@ -47,6 +49,7 @@ from gdist.states import (
     default_tol,
     means_equal,
     params_from_covariance,
+    wrap_angle,
 )
 
 
@@ -191,6 +194,37 @@ def overlap_same_mean(
     if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
         raise MeanMismatchError("states do not share a mean; use overlap_at")
     return float(overlap_from_ratio(b_ratio(p1, p2, phi)))
+
+
+def overlap_grid(p1: GaussianParams, p2: GaussianParams, phis) -> np.ndarray:
+    """Vectorized I_phi over an array of angles, in ``homodyne._overlap``'s arithmetic."""
+    phis = np.asarray(phis, dtype=float)
+    d1, d2 = phis - p1.theta, phis - p2.theta
+    b1 = p1.gamma * (p1.s * np.cos(d1) ** 2 + np.sin(d1) ** 2 / p1.s)
+    b2 = p2.gamma * (p2.s * np.cos(d2) ** 2 + np.sin(d2) ** 2 / p2.s)
+    beta = (p2.alpha_x - p1.alpha_x) * np.cos(phis) + (p2.alpha_y - p1.alpha_y) * np.sin(phis)
+    width = b1 + b2
+    return np.sqrt(2.0 * np.sqrt(b1 * b2) / width) * np.exp(-beta**2 / width)
+
+
+def scan_numpy(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
+    """The numpy twin of ``homodyne.minimize_overlap_scan``: (phi_min, overlap_min).
+
+    Three ``np.linspace`` grids of 4096 angles through ``overlap_grid``, each
+    zoom one spacing either side of the best angle so far, a tie going to the
+    finer grid.
+    """
+    lo, span = 0.0, math.pi
+    phi_min, val_min = 0.0, math.inf
+    for _ in range(3):
+        phis = np.linspace(lo, lo + span, 4096, endpoint=False)
+        vals = overlap_grid(p1, p2, phis)
+        k = int(np.argmin(vals))
+        if vals[k] <= val_min:
+            phi_min, val_min = float(phis[k]), float(vals[k])
+        step = span / 4096
+        lo, span = phi_min - step, 2.0 * step
+    return wrap_angle(phi_min), val_min
 
 
 # ---------------------------------------------------------------------------

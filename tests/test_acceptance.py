@@ -19,10 +19,10 @@ from gdist import (
     povm_overlap,
     solve_s2_for_optimality,
 )
-from gdist.homodyne import minimize_overlap_scan
 from gdist.validation import run_oracle_sweep
 
 from conftest import quadrature_overlap
+from crosscheck import scan_numpy
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -71,7 +71,7 @@ def test_criterion_3_pure_mixed_strict_gap():
         )
         fid = fidelity_params(p1, p2).fidelity
         gap = minimize_overlap(p1, p2)[1] - fid
-        scan_gap = minimize_overlap_scan(p1, p2)[1] - fid
+        scan_gap = scan_numpy(p1, p2)[1] - fid
         if gap <= 0.0 or scan_gap <= 0.0:
             violations += 1
         min_gap = min(min_gap, gap)

@@ -11,9 +11,10 @@ import pytest
 
 import gdist
 from gdist import GaussianParams, fidelity_params, minimize_overlap_general
-from gdist.cli import FIGURES, emit_figure_data, linspace, main
-from gdist.homodyne import minimize_overlap_scan, overlap_at
+from gdist.cli import FIGURES, emit_figure_data, main
+from gdist.homodyne import linspace, minimize_overlap_scan, overlap_at
 
+from conftest import NARROW_DIPS
 from crosscheck import mpmath_povm_overlap
 
 
@@ -214,6 +215,22 @@ class TestOverlapCommands:
         assert abs(data["overlap_min"] - data["scan_overlap_min"]) < 1e-12
 
 
+class TestNarrowDips:
+    @pytest.mark.parametrize("p1, p2, reference", NARROW_DIPS)
+    def test_scan_finds_the_dip(self, tmp_path, p1, p2, reference):
+        a, b = write_state(tmp_path, "a.json", p1), write_state(tmp_path, "b.json", p2)
+        code, out = run_cli(["min-overlap", "--a", a, "--b", b, "--method", "scan"])
+        assert code == 0
+        assert json.loads(out)["overlap_min"] == pytest.approx(reference, rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("p1, p2, reference", NARROW_DIPS)
+    def test_both_refuses_the_missed_minimum(self, tmp_path, p1, p2, reference):
+        # the analytic minimum is 58, 3.2 and 65 times too high; the gate is
+        # relative, so the two tiny ones fail it as well
+        a, b = write_state(tmp_path, "a.json", p1), write_state(tmp_path, "b.json", p2)
+        assert run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"]) == (1, "")
+
+
 class TestClassifyCommand:
     def test_tangency_pair(self, fig4_pair):
         a, b = fig4_pair
@@ -326,6 +343,8 @@ class TestLinspace:
             (1.0, 5.0, 200, True),  # figure s2 axis
             (0.0, 8.0, 32, True),  # povm-scan r
             (0.0, math.pi, 64, False),  # povm-scan theta_u
+            (0.0, math.pi, 4096, False),  # the scan's first pass
+            (0.5 - math.pi / 4096, 0.5 + math.pi / 4096, 4096, False),  # a zoom pass
             (0.0, 8.0, 1, True),
             (-0.0, 8.0, 1, True),
             (0.0, math.pi, 1, False),
@@ -485,6 +504,10 @@ class TestColdImports:
             ["classify", "--a", a, "--b", d],  # round, displaced
             ["min-overlap", "--a", a, "--b", c, "--method", "analytic"],
             ["min-overlap", "--a", a, "--b", d, "--method", "analytic"],
+            ["min-overlap", "--a", a, "--b", c, "--method", "both"],
+            ["min-overlap", "--a", a, "--b", d, "--method", "both"],
+            ["min-overlap", "--a", a, "--b", c, "--method", "scan"],
+            ["min-overlap", "--a", a, "--b", d, "--method", "scan"],
             ["profile", "--a", a, "--b", b, "--steps", "16"],
             ["figure", "--which", "fig4", "--s2-steps", "3", "--phi-steps", "8"],
             ["povm-scan", "--a", a, "--b", c, "--r-steps", "4", "--theta-steps", "8"],
@@ -503,7 +526,7 @@ class TestColdImports:
         )
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str([False] * 13 + [True])
+        assert proc.stdout.strip() == str([False] * 17 + [True])
 
     def test_lazy_exports_resolve_to_their_modules(self):
         assert set(EAGER_EXPORTS) <= set(gdist.__all__)

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +14,7 @@ from gdist import (
     minimize_overlap,
     overlap_at,
 )
-from gdist.homodyne import minimize_overlap_scan, overlap_grid
+from gdist.homodyne import minimize_overlap_scan
 
 from conftest import quadrature_overlap, random_params
 from crosscheck import (
@@ -20,7 +22,9 @@ from crosscheck import (
     b_ratio,
     marginal,
     overlap_from_ratio,
+    overlap_grid,
     overlap_same_mean,
+    scan_numpy,
 )
 
 
@@ -284,6 +288,16 @@ class TestBRatio:
         assert math.isclose(min(vals), g2 * s1 / (g1 * s2), rel_tol=1e-6)
 
 
+def benchmark_pairs(cycles=2, wide=40):
+    """The benchmark's seeded pairs: ``pairs_plan`` cycles of every stratum, then wide ones."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    plan = inputs.pairs_plan(21, cycles) + inputs.wide_plan(21, wide)
+    return [(GaussianParams(*case["p1"]), GaussianParams(*case["p2"])) for case in plan]
+
+
 class TestOverlapProfile:
     def test_profile_structure(self, rng):
         p1 = random_params(rng, mean_scale=1.0)
@@ -307,7 +321,23 @@ class TestOverlapProfile:
     def test_scan_minimum_below_grid(self, rng):
         p1 = random_params(rng)
         p2 = random_params(rng)
-        phi_min, val_min = minimize_overlap_scan(p1, p2)
+        phi_min, val_min = scan_numpy(p1, p2)
         assert 0.0 <= phi_min < math.pi
         grid = overlap_grid(p1, p2, np.linspace(0, math.pi, 1024, endpoint=False))
         assert val_min <= np.min(grid) + 1e-12
+
+    def test_scan_matches_numpy_twin(self):
+        # the same grids and arithmetic; numpy's vector sin, cos and exp may
+        # round differently from libm, so a minimum can move by an ulp, and
+        # each zoom then follows its own side's best angle.  100 pairs keep
+        # the pure-Python scans under 2 s on a 2-core VM; 400 take about 7 s
+        pairs = benchmark_pairs()
+        moved = []
+        for p1, p2 in pairs:
+            _, got = minimize_overlap_scan(p1, p2)
+            _, want = scan_numpy(p1, p2)
+            assert abs(got - want) <= 1e-15 * want, (p1, p2, got, want)
+            if got != want:
+                moved.append(abs(got - want) / math.ulp(want))
+        worst = max(moved, default=0.0)
+        print(f"{len(moved)} of {len(pairs)} scan minima differ from numpy, {worst:.0f} ulp at most")
