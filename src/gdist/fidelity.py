@@ -19,7 +19,8 @@ the five parameters, in scalar arithmetic whose every sum has nonnegative terms:
   (gamma1 + gamma2 - 2)(gamma1 + gamma2 + 2) + 4b;
 - q = (beta^T adj(C1) beta + beta^T adj(C2) beta) / Dcap, since the 2x2
   adjugate is linear and beta^T adj(C) beta = gamma ((beta.m)^2 / s + s (beta.n)^2)
-  with m the long axis of C and n its normal.
+  with m the long axis of C and n its normal.  ``_mean_exponent`` evaluates
+  it, and ``optimality`` decides on it whether two means are the same.
 
 log F = -q - log1p(e/2)/2 and 1 - F = -expm1(log F) keep their digits however
 close the states are: no identical-state rule, and no clamp (F <= 1 as e, q >= 0).
@@ -85,14 +86,30 @@ def _adjugate_form(p: GaussianParams, dx: float, dy: float) -> float:
     return p.gamma * (along * along / p.s + p.s * across * across)
 
 
-def _fidelity(
-    p1: GaussianParams, p2: GaussianParams, dx: float, dy: float, excess: float
-) -> FidelityReport:
-    """The one fidelity kernel, for mean difference (dx, dy) and D - 4 = ``excess``."""
+def _adjugates(p1: GaussianParams, p2: GaussianParams) -> float:
+    """beta^T adj(C1) beta + beta^T adj(C2) beta; 0.0 for equal means, without trig."""
+    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+    if dx == 0.0 and dy == 0.0:
+        return 0.0
+    return _adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)
+
+
+def _delta_cap(g1: float, g2: float, excess: float) -> float:
+    """Dcap = det(C1 + C2), given D - 4 = ``excess``."""
+    return (g1 + g2) ** 2 + 0.5 * g1 * g2 * excess
+
+
+def _mean_exponent(p1: GaussianParams, p2: GaussianParams, excess: float) -> float:
+    """q = beta^T (C1 + C2)^{-1} beta, given D - 4 = ``excess``."""
+    return _adjugates(p1, p2) / _delta_cap(p1.gamma, p2.gamma, excess)
+
+
+def _fidelity(p1: GaussianParams, p2: GaussianParams, excess: float) -> FidelityReport:
+    """The one fidelity kernel, given D - 4 = ``excess``."""
     g1, g2 = p1.gamma, p2.gamma
-    delta_cap = (g1 + g2) ** 2 + 0.5 * g1 * g2 * excess
+    delta_cap = _delta_cap(g1, g2, excess)
     delta_low = (g1 - 1.0) * (g1 + 1.0) * ((g2 - 1.0) * (g2 + 1.0))
-    exponent = 0.0 - (_adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)) / delta_cap
+    exponent = 0.0 - _mean_exponent(p1, p2, excess)
     a, b = math.sqrt(delta_cap + delta_low), math.sqrt(delta_low)
     # (g1 + g2)^2 - 4 - 4b, rationalized; 0 for equal widths (0/0 for two pure states)
     widths = 0.0
@@ -115,8 +132,7 @@ def _fidelity(
 
 def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
     """Fidelity for arbitrary parameterized states (any means); exactly 1 for identical states."""
-    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
-    return _fidelity(p1, p2, dx, dy, squeeze_excess(p1, p2))
+    return _fidelity(p1, p2, squeeze_excess(p1, p2))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,22 @@ polish.
 
 ``classify_pair`` is the one classifier.  It reads the tolerance
 (``default_tol``, overridable through GDIST_TOL) once and decides every
-gate of the verdict with it: equal means, round states, identical states,
-purity, equal thermal widths and the mixed/mixed equality surface, whose
-solver ``solve_s2_for_optimality`` lives in ``fidelity``.  Every scalar
-I_phi comes from ``homodyne._overlap`` and only ``_critical_angles`` loads
-numpy, so the verdicts and the same-mean and round minima need ``math`` alone.
+gate of the verdict with it, each on a dimensionless quantity:
+
+- identical states: 1 - F <= tol, F the fidelity of the pair, means included;
+- same mean: q = beta^T (C1 + C2)^{-1} beta <= tol (``_mean_exponent``).
+  Every beta_phi^2 / (B1 + B2) <= q (Cauchy-Schwarz), so the same-mean
+  minimum is off by at most a factor e^(-tol); ``minimize_overlap`` routes
+  on the same gate;
+- purity and roundness: gamma - 1 <= tol and s - 1 <= tol;
+- equal widths of a displaced round pair: both states pure, or neither
+  and (t1 - t2)^2 / (t1 t2) <= tol, t = gamma - 1/gamma (``_thermal_excess``);
+- the mixed/mixed equality surface: |D - 2T| < tol T, T = ``thermal_ratio_sum``,
+  whose solver ``solve_s2_for_optimality`` lives in ``fidelity``.
+
+Every scalar I_phi comes from ``homodyne._overlap`` and only
+``_critical_angles`` loads numpy, so the verdicts and the same-mean and
+round minima need ``math`` alone.
 """
 
 from __future__ import annotations
@@ -35,17 +46,10 @@ from enum import Enum
 
 from .errors import UnsupportedPairError
 from .fidelity import (
-    _fidelity, _thermal_excess, fidelity_params, squeeze_excess, thermal_ratio_sum
+    _fidelity, _mean_exponent, _thermal_excess, fidelity_params, squeeze_excess, thermal_ratio_sum
 )
 from .homodyne import _overlap, _width
-from .states import (
-    GaussianParams,
-    covariance_entries,
-    default_tol,
-    means_equal,
-    states_equal,
-    wrap_angle,
-)
+from .states import GaussianParams, covariance_entries, default_tol, wrap_angle
 
 
 class PairClass(Enum):
@@ -62,9 +66,11 @@ class PairClass(Enum):
 class OptimalityVerdict:
     """Classification of a state pair with numeric witnesses.
 
-    ``gap`` is min_phi I_phi - F; ``witness_phi`` is an angle achieving
-    I_phi = F when the class is an optimal variant; ``condition_residual``
-    is D - 2*thermal_ratio_sum for mixed/mixed pairs, None otherwise.
+    ``gap`` is min_phi I_phi - F with F the fidelity of the pair, and 0.0
+    for identical states; ``witness_phi`` is an angle achieving I_phi = F
+    when the class is an optimal variant; ``condition_residual`` is
+    D - 2*thermal_ratio_sum for mixed/mixed pairs, None otherwise.  The
+    tolerance gates behind ``kind`` are listed in the module docstring.
     """
 
     kind: PairClass
@@ -108,7 +114,7 @@ def _extreme_angle(p1: GaussianParams, p2: GaussianParams, mu: float) -> float:
 
 
 def _minimize_same_mean(p1: GaussianParams, p2: GaussianParams, excess: float):
-    """Analytic route of ``minimize_overlap``, given D - 4; the caller has checked the means."""
+    """Analytic route of ``minimize_overlap``, given D - 4; the caller has gated the means on q."""
     mu_minus, mu_plus = _ratio_extremes(p2.gamma / p1.gamma, excess)
     f_plus, f_minus = _overlap(1.0, mu_plus, 0.0), _overlap(1.0, mu_minus, 0.0)
     mu, val = (mu_plus, f_plus) if f_plus <= f_minus else (mu_minus, f_minus)
@@ -128,14 +134,15 @@ def _round_minimum(g1: float, g2: float, dx: float, dy: float) -> tuple[float, f
 def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Minimize I_phi over the measurement angle.
 
-    Same-mean pairs take the analytic route: f at both ratio extremes, the
-    smaller kept, the angle from the extreme's null direction.  Displaced
-    pairs of exactly round states take the closed form ``_round_minimum``,
-    other displaced pairs ``minimize_overlap_general``.  Returns
-    (phi_min, overlap_min).
+    Same-mean pairs (q <= tol, the gate of ``classify_pair``) take the
+    analytic route: f at both ratio extremes, the smaller kept, the angle
+    from the extreme's null direction.  Displaced pairs of exactly round
+    states take the closed form ``_round_minimum``, other displaced pairs
+    ``minimize_overlap_general``.  Returns (phi_min, overlap_min).
     """
-    if means_equal(p1, p2, default_tol()):
-        return _minimize_same_mean(p1, p2, squeeze_excess(p1, p2))
+    excess = squeeze_excess(p1, p2)
+    if _mean_exponent(p1, p2, excess) <= default_tol():
+        return _minimize_same_mean(p1, p2, excess)
     if p1.s == p2.s == 1.0:
         return _round_minimum(p1.gamma, p2.gamma, p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y)
     return minimize_overlap_general(p1, p2)
@@ -326,21 +333,44 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     return wrap_angle(best_phi), best_value
 
 
-def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> OptimalityVerdict:
-    """Classify a pair whose means agree within ``tol``.
+def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
+    """Classify a pair by the gates of the module docstring, all with one tolerance.
 
-    pure/pure -> always optimal; pure/mixed -> never; mixed/mixed -> optimal
-    iff D = 2*thermal_ratio_sum within ``tol`` (relative).  State equality
-    and purity are decided with the same ``tol``.  The gap field is the
-    analytic minimum of I_phi minus F.
+    1 - F <= tol gives ``IdenticalStates``.  Same-mean pairs (q <= tol) go to
+    the purity/mismatch criteria: pure/pure -> always optimal; pure/mixed ->
+    never; mixed/mixed -> optimal iff D = 2*thermal_ratio_sum within ``tol``
+    (relative), with the analytic same-mean minimum in the gap.  Displaced
+    pairs are classified only for round states (s - 1 <= tol): optimal iff
+    the thermal widths are equal.  Their gap and witness angle, along the
+    mean difference, come from the closed form ``_round_minimum`` and the
+    fidelity of the exactly round pair.  Other configurations raise
+    UnsupportedPairError (their numeric gap is still available through
+    ``minimize_overlap_general``).
     """
-    if states_equal(p1, p2, tol):
-        return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
+    tol = default_tol()
     excess = squeeze_excess(p1, p2)  # D - 4, shared by F, the minimum and the residual
-    fid = _fidelity(p1, p2, 0.0, 0.0, excess).fidelity
-    phi_min, val_min = _minimize_same_mean(p1, p2, excess)
-    gap = val_min - fid
+    report = _fidelity(p1, p2, excess)
+    if 0.5 * report.bures_distance_sq <= tol:  # 1 - F
+        return OptimalityVerdict(PairClass.IDENTICAL_STATES, 0.0, witness_phi=0.0)
     pure1, pure2 = p1.is_pure(tol), p2.is_pure(tol)
+    if -report.exponent > tol:  # q: the means differ
+        if p1.s - 1.0 > tol or p2.s - 1.0 > tol:
+            raise UnsupportedPairError(
+                "pairs with different means and squeezing are not classified; "
+                "use min-overlap for the numeric gap"
+            )
+        g1, g2 = p1.gamma, p2.gamma
+        dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
+        witness, val_min = _round_minimum(g1, g2, dx, dy)
+        fid = report.fidelity
+        if p1.s != 1.0 or p2.s != 1.0:  # nearly round: F of the exactly round pair
+            fid = fidelity_params(GaussianParams(g1), GaussianParams(g2, 1.0, 0.0, dx, dy)).fidelity
+        gap = val_min - fid
+        if pure1 and pure2 or not (pure1 or pure2) and _thermal_excess(g1, g2) <= tol:
+            return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness)
+        return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, gap)
+    phi_min, val_min = _minimize_same_mean(p1, p2, excess)
+    gap = val_min - report.fidelity
     if pure1 and pure2:
         return OptimalityVerdict(PairClass.PURE_PURE_ALWAYS_OPTIMAL, gap, witness_phi=phi_min)
     if pure1 != pure2:
@@ -352,32 +382,3 @@ def _same_mean_verdict(p1: GaussianParams, p2: GaussianParams, tol: float) -> Op
     if abs(residual) < tol * ratio_sum:
         return OptimalityVerdict(PairClass.MIXED_MIXED_OPTIMAL, gap, phi_min, residual)
     return OptimalityVerdict(PairClass.MIXED_MIXED_NOT_OPTIMAL, gap, condition_residual=residual)
-
-
-def classify_pair(p1: GaussianParams, p2: GaussianParams) -> OptimalityVerdict:
-    """Route a pair to the applicable classifier.
-
-    Equal means go to the purity/mismatch criteria.  Differing means are
-    classified only for round states, s = 1 within the tolerance that
-    ``means_equal`` uses: such a pair is optimal iff the thermal widths
-    coincide.  Its gap and witness angle, along the mean difference, come
-    from the closed form ``_round_minimum`` of the exactly round pair.
-    Other configurations raise UnsupportedPairError (their numeric gap is
-    still available through ``minimize_overlap_general``).
-    """
-    tol = default_tol()
-    if means_equal(p1, p2, tol):
-        return _same_mean_verdict(p1, p2, tol)
-    if p1.s - 1.0 <= tol and p2.s - 1.0 <= tol:
-        g1, g2 = p1.gamma, p2.gamma
-        dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
-        q1, q2 = GaussianParams(g1), GaussianParams(g2, 1.0, 0.0, dx, dy)  # exactly round
-        witness, val_min = _round_minimum(g1, g2, dx, dy)
-        gap = val_min - fidelity_params(q1, q2).fidelity
-        if abs(g1 - g2) < tol:
-            return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL, gap, witness)
-        return OptimalityVerdict(PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL, gap)
-    raise UnsupportedPairError(
-        "pairs with different means and squeezing are not classified; "
-        "use min-overlap for the numeric gap"
-    )

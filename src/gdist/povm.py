@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fidelity import _adjugate_form, fidelity_params
+from .fidelity import _adjugates, fidelity_params
 from .homodyne import _width
 from .optimality import minimize_overlap
 from .states import GaussianParams
@@ -52,7 +52,7 @@ def _family_overlap(
 ) -> float:
     """The overlap at 1/s = ``inv_s``, each sum divided by s, cap = det(C1 + C2).
 
-    ``terms`` is ``_angle_terms`` at theta_u, ``adjugates`` is ``_adjugates``.
+    ``terms`` is ``_angle_terms`` at theta_u, ``adjugates`` is ``fidelity._adjugates``.
     """
     along, across, widths = terms
     traces = [w + inv_s * (inv_s * w_perp) for w, w_perp in widths]
@@ -61,12 +61,6 @@ def _family_overlap(
     mahal = along * along + inv_s * (0.5 * adjugates + inv_s * (across * across))
     ratio = math.sqrt(det1 / pooled) * math.sqrt(det2 / pooled)  # det1 * det2 can overflow
     return math.sqrt(ratio) * math.exp(-0.5 * mahal / pooled)
-
-
-def _adjugates(p1: GaussianParams, p2: GaussianParams) -> float:
-    """beta^T adj(C1) beta + beta^T adj(C2) beta: the part of mahal no angle changes."""
-    dx, dy = p2.alpha_x - p1.alpha_x, p2.alpha_y - p1.alpha_y
-    return _adjugate_form(p1, dx, dy) + _adjugate_form(p2, dx, dy)
 
 
 def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: float) -> float:

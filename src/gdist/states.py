@@ -7,7 +7,8 @@ fixed so the vacuum has covariance equal to the identity and the quadrature
 X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.  Helpers
 take the tolerance as an argument; only ``params_from_covariance`` here,
 ``classify_pair``, ``minimize_overlap`` and the surface solver in ``fidelity``
-read it, from ``default_tol`` (GDIST_TOL, a finite float > 0).  Both forms
+read it, from ``default_tol`` (GDIST_TOL, a finite float > 0); the gates it
+decides are listed in the ``optimality`` module docstring.  Both forms
 hold plain floats, and ``covariance_entries`` is the one scalar kernel of the
 covariance entries, so this module never loads numpy.
 """
@@ -182,25 +183,6 @@ def is_physical(c: CovarianceState, tol: float) -> bool:
     (a, _), (_, d) = c.cov
     det = c.det
     return a > 0.0 and d > 0.0 and det > 0.0 and det >= 1.0 - tol
-
-
-def states_equal(a: GaussianParams, b: GaussianParams, tol: float) -> bool:
-    """Equality of canonical parameters within ``tol``.
-
-    The squeezing direction is compared mod pi and ignored for round states.
-    """
-    if abs(a.gamma - b.gamma) > tol or abs(a.s - b.s) > tol:
-        return False
-    if abs(a.alpha_x - b.alpha_x) > tol or abs(a.alpha_y - b.alpha_y) > tol:
-        return False
-    if min(a.s, b.s) - 1.0 <= tol:
-        return True
-    dth = abs(a.theta - b.theta)
-    return min(dth, math.pi - dth) <= tol
-
-
-def means_equal(a: GaussianParams, b: GaussianParams, tol: float) -> bool:
-    return abs(a.alpha_x - b.alpha_x) <= tol and abs(a.alpha_y - b.alpha_y) <= tol
 
 
 # ---------------------------------------------------------------------------

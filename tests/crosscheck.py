@@ -47,7 +47,6 @@ from gdist.states import (
     GaussianParams,
     covariance_from_params,
     default_tol,
-    means_equal,
     params_from_covariance,
     wrap_angle,
 )
@@ -282,7 +281,7 @@ def build_equality_equation(
     Raises DegenerateFidelityError for fid = 1 (every angle solves).
     """
     tol = default_tol() if tol is None else tol
-    if not means_equal(p1, p2, tol):
+    if abs(p1.alpha_x - p2.alpha_x) > tol or abs(p1.alpha_y - p2.alpha_y) > tol:
         raise MeanMismatchError("equality analysis assumes equal means")
     if not 0.0 < fid <= 1.0:
         raise ValueError(f"fidelity must lie in (0, 1], got {fid}")

@@ -214,6 +214,15 @@ class TestOverlapCommands:
         assert data["scan_overlap_min"] == minimize_overlap_scan(p1, p2)[1]
         assert abs(data["overlap_min"] - data["scan_overlap_min"]) < 1e-12
 
+    def test_min_overlap_both_on_a_flat_profile(self, tmp_path):
+        # q = 3e-21: the analytic same-mean route, on a profile where every I_phi is 1.0
+        a = write_state(tmp_path, "a.json", GaussianParams(1e8, 2.0, 0.3))
+        b = write_state(tmp_path, "b.json", GaussianParams(1e8, 2.0, 0.3, 1e-6, 0.0))
+        code, out = run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["overlap_min"] == data["scan_overlap_min"] == 1.0
+
 
 class TestNarrowDips:
     @pytest.mark.parametrize("p1, p2, reference", NARROW_DIPS)

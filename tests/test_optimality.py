@@ -1013,7 +1013,7 @@ class TestClassifyPair:
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
 
     def test_nearly_round_different_mean_routing(self):
-        # s = 1 + 1e-13 is round within the tolerance of means_equal
+        # s = 1 + 1e-13 is round within the tolerance: s - 1 <= tol
         v = classify_pair(GaussianParams(2.0, 1.0 + 1e-13), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0))
         assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL
         round_gap = classify_pair(GaussianParams(2.0), GaussianParams(2.0, 1.0, 0.0, 1.0, 0.0)).gap
@@ -1039,6 +1039,106 @@ class TestClassifyPair:
         v = classify_pair(GaussianParams(1.0), GaussianParams(1.0 + 1e-10, 1.0 + 1e-10, math.pi / 2))
         assert v.kind is PairClass.PURE_MIXED_NEVER_OPTIMAL
         assert abs(v.gap / 2.5000002068196775e-11 - 1.0) < 1e-5
+
+    # pairs whose verdict contradicted its own gap when means, directions and
+    # widths were compared in absolute terms
+    @pytest.mark.parametrize(
+        "p1, p2, kind",
+        [
+            # 1 - F = 2.5e-8: a direction 5e-10 off is not the same state
+            (GaussianParams(2.0, 1e6, 0.3), GaussianParams(2.0, 1e6, 0.3 + 5e-10),
+             PairClass.MIXED_MIXED_NOT_OPTIMAL),
+            (GaussianParams(1.0, 1e6, 0.3), GaussianParams(1.0, 1e6, 0.3 + 5e-10),
+             PairClass.PURE_PURE_ALWAYS_OPTIMAL),
+            # widths one ulp apart are equal; q = 5e-9 keeps the means apart
+            (GaussianParams(1e8), GaussianParams(math.nextafter(1e8, math.inf), 1.0, 0.0, 1.0, 0.0),
+             PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL),
+            (GaussianParams(1e8, 2.0, 0.3), GaussianParams(math.nextafter(1e8, math.inf), 2.0, 0.3),
+             PairClass.IDENTICAL_STATES),
+            # q below 1e-15: the means are the same
+            (GaussianParams(2.0, 2.0, 0.3, 1e8, 0.0),
+             GaussianParams(2.0, 2.0, 0.3, math.nextafter(1e8, math.inf), 0.0),
+             PairClass.IDENTICAL_STATES),
+            (GaussianParams(1e8, 2.0, 0.3), GaussianParams(1e8, 2.0, 0.3, 1e-6, 0.0),
+             PairClass.IDENTICAL_STATES),
+            # the thermal excess of 2 against 2 + 1e-8 is 7e-17
+            (GaussianParams(2.0), GaussianParams(2.0 + 1e-8, 1.0, 0.0, 1.0, 0.0),
+             PairClass.DIFFERENT_MEAN_SYMMETRIC_OPTIMAL),
+        ],
+    )
+    def test_verdict_agrees_with_its_gap(self, p1, p2, kind):
+        v = classify_pair(p1, p2)
+        assert v.kind is kind
+        if kind is PairClass.IDENTICAL_STATES:
+            assert 1.0 - fidelity_params(p1, p2).fidelity <= DEFAULT_TOL
+        elif kind is PairClass.MIXED_MIXED_NOT_OPTIMAL:
+            assert v.gap == pytest.approx(9.375e-9, rel=1e-5)
+        else:
+            assert abs(v.gap) < 1e-15
+
+    def test_nearly_pure_widths_are_not_equal(self):
+        # their relative difference is 1e-6, but 1 - F = 0.39 and the gap is 2.6e-8
+        v = classify_pair(GaussianParams(1.0 + 1e-6), GaussianParams(1.0 + 2e-6, 1.0, 0.0, 1.0, 0.0))
+        assert v.kind is PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL
+        assert v.gap == pytest.approx(2.6016e-8, rel=1e-4)
+
+
+def nudged_pair(rng: random.Random):
+    """A wide-domain state (gamma up to 1e8, s up to 1e6) and a nudge of it.
+
+    Each parameter of the second state is kept, moved by one ulp or moved by
+    a relative 1e-16..1e-4; the direction moves by 1e-16..1e-4 and the mean
+    by 1e-16..1 along a random axis.  Pure and round states come up often.
+    """
+    def tiny():
+        return 10.0 ** rng.uniform(-16.0, -4.0)
+
+    def nudge(x):
+        pick = rng.randrange(3)
+        return x if pick == 0 else math.nextafter(x, math.inf) if pick == 1 else x * (1.0 + tiny())
+
+    gamma = 1.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(0.0, 8.0)
+    s = 1.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(0.0, 6.0)
+    theta, ax, ay = rng.uniform(0.0, math.pi), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+    dtheta = tiny() if rng.random() < 0.5 else 0.0
+    shift, axis = (10.0 ** rng.uniform(-16.0, 0.0), rng.uniform(0.0, 2.0 * math.pi))
+    if rng.random() < 0.25:
+        shift = 0.0
+    p1 = GaussianParams(gamma, s, theta, ax, ay)
+    p2 = GaussianParams(
+        nudge(gamma), nudge(s) if s > 1.0 else s, theta + dtheta,
+        ax + shift * math.cos(axis), ay + shift * math.sin(axis),
+    )
+    return p1, p2
+
+
+def test_wide_domain_verdicts_agree_with_their_gap():
+    """No not-optimal verdict with gap 0.0, no 'identical' pair with 1 - F > tol,
+    and no refused pair whose means agree (q <= tol)."""
+    rng = random.Random(20241022)
+    kinds = set()
+    for _ in range(2000):
+        p1, p2 = nudged_pair(rng)
+        report = fidelity_params(p1, p2)
+        try:
+            v = classify_pair(p1, p2)
+        except UnsupportedPairError:
+            assert -report.exponent > DEFAULT_TOL, (p1, p2)
+            kinds.add(UnsupportedPairError)
+            continue
+        kinds.add(v.kind)
+        if v.kind.value.endswith(("NotOptimal", "NeverOptimal")) and report.fidelity > 0.0:
+            assert v.gap != 0.0, (p1, p2, v)
+        if v.kind is PairClass.IDENTICAL_STATES:
+            assert 1.0 - report.fidelity <= DEFAULT_TOL, (p1, p2)
+    # every checked outcome is drawn
+    assert kinds >= {
+        UnsupportedPairError,
+        PairClass.IDENTICAL_STATES,
+        PairClass.PURE_MIXED_NEVER_OPTIMAL,
+        PairClass.MIXED_MIXED_NOT_OPTIMAL,
+        PairClass.DIFFERENT_MEAN_SYMMETRIC_NOT_OPTIMAL,
+    }
 
 
 def numpy_extreme_angle(p1, p2, mu):

@@ -15,7 +15,8 @@ from gdist import (
     params_from_covariance,
     state_from_dict,
 )
-from gdist.states import DEFAULT_TOL, default_tol, load_state, states_equal
+from gdist.optimality import PairClass, classify_pair
+from gdist.states import DEFAULT_TOL, default_tol, load_state
 
 from conftest import random_params
 from crosscheck import characteristic_fn, wigner_fn
@@ -259,14 +260,15 @@ class TestJsonSchema:
             load_state(str(path))
 
 
-class TestStatesEqual:
+class TestIdenticalStates:
     def test_theta_mod_pi(self):
         a = GaussianParams(2.0, 3.0, 1e-12)
         b = GaussianParams(2.0, 3.0, math.pi - 1e-12)
-        assert states_equal(a, b, DEFAULT_TOL)
+        assert classify_pair(a, b).kind is PairClass.IDENTICAL_STATES
 
     def test_distinct(self):
-        assert not states_equal(GaussianParams(2.0), GaussianParams(2.001), DEFAULT_TOL)
+        verdict = classify_pair(GaussianParams(2.0), GaussianParams(2.001))
+        assert verdict.kind is not PairClass.IDENTICAL_STATES
 
 
 class TestToleranceOverride:
