@@ -19,7 +19,7 @@ import sys
 from .errors import GdistError, NonPhysicalStateError, StateFormatError, UnsupportedPairError
 from .fidelity import fidelity_params, solve_s2_for_optimality
 from .homodyne import _overlap, _width, linspace, minimize_overlap_scan, overlap_at
-from .states import GaussianParams, load_state
+from .states import GaussianParams, default_tol, load_state
 
 
 #: Fixed parameters (gamma1, gamma2, s1, theta_tilde) of each figure sweep, by --which.
@@ -133,8 +133,9 @@ def _cmd_min_overlap(args) -> int:
         results["scan"] = minimize_overlap_scan(p1, p2)
     if args.method == "both":
         analytic, scanned = results["analytic"][1], results["scan"][1]
-        # relative: a tiny minimum wrong by a large factor must fail as well
-        if abs(analytic - scanned) > 1e-8 * max(analytic, scanned):
+        # relative: a tiny minimum wrong by a large factor must fail as well;
+        # the q <= tol gate holds the analytic minimum only to a factor e^-q
+        if abs(analytic - scanned) > max(1e-8, default_tol()) * max(analytic, scanned):
             raise ArithmeticError(f"analytic minimum {analytic:.4g} but scan {scanned:.4g}")
     phi_min, val_min = results.get("analytic", results.get("scan"))
     out = {

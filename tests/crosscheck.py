@@ -35,8 +35,8 @@ from gdist.fock import (
     FockOperator,
     _displacement_eigen,
     _orthogonal_core,
+    _quadrature_table,
     _squeeze_blocks,
-    default_overlap_grid,
     hermite_functions,
     marginal_fock,
 )
@@ -450,9 +450,9 @@ def husimi_fock(a: FockOperator, alpha: complex) -> float:
 
 
 def overlap_fock_4001(a: FockOperator, b: FockOperator, phi: float) -> float:
-    """Bhattacharyya overlap of the oracle marginals on 4001 points of the default span."""
-    default = default_overlap_grid(a, b, phi)
-    grid = np.linspace(default[0], default[-1], 4001)
+    """Bhattacharyya overlap of the oracle marginals on 4001 points of the per-dim span."""
+    span, _ = _quadrature_table(max(a.dim, b.dim))
+    grid = np.linspace(span[0], span[-1], 4001)
     table = hermite_functions(max(a.dim, b.dim), math.sqrt(2.0) * grid)
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)

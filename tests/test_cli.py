@@ -223,6 +223,17 @@ class TestOverlapCommands:
         data = json.loads(out)
         assert data["overlap_min"] == data["scan_overlap_min"] == 1.0
 
+    def test_min_overlap_both_under_a_loose_tolerance(self, tmp_path, monkeypatch):
+        # q = 5.7e-7 <= 1e-6 sends the pair to the same-mean minimum, which then
+        # holds only to a factor e^-q: 3.7e-7 relative above the scan's
+        a = write_state(tmp_path, "a.json", GaussianParams(2.0, 2.0, 0.3))
+        b = write_state(tmp_path, "b.json", GaussianParams(2.0, 3.0, 0.3, 0.002, 0.0))
+        monkeypatch.setenv("GDIST_TOL", "1e-6")
+        code, out = run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"])
+        assert code == 0
+        data = json.loads(out)
+        assert 0.0 < data["overlap_min"] / data["scan_overlap_min"] - 1.0 < 1e-6
+
 
 class TestNarrowDips:
     @pytest.mark.parametrize("p1, p2, reference", NARROW_DIPS)
@@ -233,10 +244,12 @@ class TestNarrowDips:
         assert json.loads(out)["overlap_min"] == pytest.approx(reference, rel=1e-4, abs=0.0)
 
     @pytest.mark.parametrize("p1, p2, reference", NARROW_DIPS)
-    def test_both_refuses_the_missed_minimum(self, tmp_path, p1, p2, reference):
+    def test_both_refuses_the_missed_minimum(self, tmp_path, monkeypatch, p1, p2, reference):
         # the analytic minimum is 58, 3.2 and 65 times too high; the gate is
-        # relative, so the two tiny ones fail it as well
+        # relative, so the two tiny ones fail it as well, at a loose tolerance too
         a, b = write_state(tmp_path, "a.json", p1), write_state(tmp_path, "b.json", p2)
+        assert run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"]) == (1, "")
+        monkeypatch.setenv("GDIST_TOL", "1e-6")
         assert run_cli(["min-overlap", "--a", a, "--b", b, "--method", "both"]) == (1, "")
 
 

@@ -17,7 +17,7 @@ from gdist import (
     overlap_fock,
 )
 from gdist import fock
-from gdist.fock import hermite_functions, quadrature_moments
+from gdist.fock import hermite_functions
 from gdist.validation import DEFAULT_ANGLES, oracle_check_pair, stratified_pairs
 
 from crosscheck import annihilation, displacement_op, marginal, overlap_fock_4001, squeeze_op
@@ -245,37 +245,15 @@ class TestMarginalFock:
         with pytest.raises(TruncationError):
             fock_density(rho, 0.0, np.linspace(-0.5, 0.5, 11))  # grid misses the state
 
-    def test_quadrature_moments(self):
-        p = GaussianParams(3.0, 2.0, 0.7, 1.0, -0.5)
-        rho = build_state(p, 150)
-        for phi in (0.0, 0.7, 2.0):
-            m = marginal(p, phi)
-            mean, var = quadrature_moments(rho, phi)
-            assert abs(mean - m.mean_along) < 1e-8
-            assert abs(var - m.variance) < 1e-7
-
 
 class TestKernelsAgainstDense:
-    """The O(dim) moments and the real-GEMM marginal against dense references."""
+    """The real-GEMM marginal against a dense reference."""
 
     STATES = (
         GaussianParams(3.0, 2.0, 0.7, 1.0, -0.5),
         GaussianParams(1.0, 4.0, 2.2, -0.3, 0.9),
         GaussianParams(2.0, 1.0, 0.0, 0.0, 1.2),
     )
-
-    def test_moments_match_dense_trace(self):
-        for p in self.STATES:
-            for dim in (6, 40, 150):
-                rho = build_state(p, dim) if dim > 6 else fock._build_fixed(p, dim)
-                a = annihilation(dim)
-                for phi in (0.0, 0.7, 2.0, -1.1):
-                    x = 0.5 * (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi))
-                    mean = float(np.trace(rho.matrix @ x).real)
-                    second = float(np.trace(rho.matrix @ x @ x).real)
-                    got_mean, got_var = quadrature_moments(rho, phi)
-                    assert abs(got_mean - mean) < 1e-12
-                    assert abs(got_var - (second - mean * mean)) < 1e-11
 
     def test_gemm_marginal_matches_einsum(self):
         grid = np.linspace(-9.0, 9.0, 1201)
@@ -322,13 +300,14 @@ class TestOverlapFock:
             assert abs(overlap_fock(a, b, phi) - overlap_at(p1, p2, phi)) < 1e-6
 
     def test_grid_matches_4001_points(self):
-        # case139 of the default sweep has its widest span (60: the gamma = s = 5
-        # state along its wide axis) and its largest grid-induced move at dim 300;
+        # case139 of the default sweep holds its widest state (gamma = s = 5) at
+        # dim 300, and case130 its largest grid-induced move (2.9e-12 at dim 150);
         # then a squeezed thermal against a squeezed displaced state, and vacuum
         # against coherent at a small truncation that still holds the state
-        _, q1, q2 = stratified_pairs()[139]
+        sweep = stratified_pairs()
         cases = (
-            (q1, q2, 300),
+            (*sweep[139][1:], 300),
+            (*sweep[130][1:], 150),
             (GaussianParams(3.0, 2.0, 0.4), GaussianParams(1.0, 5.0, 1.1, 0.5, -0.3), 150),
             (GaussianParams(1.0), GaussianParams(1.0, 1.0, 0.0, 1.0, 0.0), 20),
         )
@@ -338,14 +317,36 @@ class TestOverlapFock:
                 assert abs(overlap_fock(a, b, phi) - overlap_fock_4001(a, b, phi)) < 1e-11
 
     def test_grid_size_follows_truncation(self):
-        p1, p2 = GaussianParams(1.0), GaussianParams(3.0, 2.0, 0.4, 0.5, 0.0)
-        intervals = []
-        for dim in (40, 160):
-            grid = fock.default_overlap_grid(build_state(p1, dim), build_state(p2, dim), 0.3)
-            assert grid.size == math.ceil(2.0 * (grid[-1] - grid[0]) * math.sqrt(dim)) + 1
-            intervals.append(grid.size - 1)
-        # the same span at four times the truncation: twice the points
-        assert abs(intervals[1] - 2 * intervals[0]) <= 2
+        for dim in (4, 40, 150, 160, 300):
+            grid, table = fock._quadrature_table(dim)
+            x_max = (math.sqrt(2.0 * dim - 1.0) + 5.0) / math.sqrt(2.0)
+            assert grid[0] == -x_max and grid[-1] == x_max
+            assert grid.size == math.ceil(4.0 * x_max * math.sqrt(dim)) + 1
+            assert np.max(np.diff(grid)) <= 1.0 / (2.0 * math.sqrt(dim))
+            assert table.shape == (dim, grid.size)
+        assert fock._quadrature_table(150)[0].size == 774
+
+    @pytest.mark.parametrize("dim", (4, 20, 150, 300))
+    def test_grid_ends_past_every_level(self, dim):
+        # each state at this truncation combines h_0..h_{dim-1}: none reaches the ends
+        _, table = fock._quadrature_table(dim)
+        assert np.max(np.abs(table[:, [0, -1]])) < 1e-10
+
+    def test_hermite_table_built_once_per_truncation(self, monkeypatch):
+        calls = []
+
+        def counted(count, x):
+            calls.append(count)
+            return hermite_functions(count, x)
+
+        fock._quadrature_table.cache_clear()
+        monkeypatch.setattr(fock, "hermite_functions", counted)
+        for p1, p2 in (
+            (GaussianParams(3.0, 2.0, 0.0), GaussianParams(1.5, 2.0, 0.5, 1.0, 0.5)),
+            (GaussianParams(1.0), GaussianParams(2.0, 1.0, 0.0, -0.5, 0.3)),
+        ):
+            assert oracle_check_pair(p1, p2, dim=150).passed
+        assert calls == [150]
 
 
 class TestOracleCheckPair:
