@@ -25,7 +25,7 @@ _EXPORTS = {
         ("optimality", "OptimalityVerdict PairClass classify_pair minimize_overlap"),
         ("optimality", "minimize_overlap_general ratio_extremes"),
         ("povm", "ConjectureScan conjecture_scan povm_overlap"),
-        ("states", "CovarianceState GaussianParams covariance_from_params is_physical"),
+        ("states", "CovarianceState GaussianParams covariance_from_params"),
         ("states", "load_state params_from_covariance state_from_dict"),
     )
     for name in names.split()

@@ -5,6 +5,9 @@ min-overlap, classify, solve-s2), the figure-data sweeps, the Fock-oracle
 validation, and the POVM-family scan.  All angles are radians; output floats
 use the shortest round-trip representation, so CSV output is byte-identical
 between runs.  Exit codes: 0 success, 2 invalid input, 1 numeric failure.
+Every printed float passes one finiteness check (``_fmt``, ``_json``): a
+non-finite result is a numeric failure, so a single-result command prints
+nothing and a CSV command stops before the row that holds it.
 Only ``oracle-check`` and the minimum of a squeezed displaced pair
 (``min-overlap --method analytic|both``, ``povm-scan``) load numpy.
 """
@@ -31,7 +34,19 @@ FIGURES = {
 
 
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    """Shortest round-trip text of a float; a non-finite one raises ArithmeticError."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ArithmeticError(f"non-finite result {x}")
+    return repr(x)
+
+
+def _json(obj) -> str:
+    """``obj`` as JSON, under the same finiteness check as ``_fmt``."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite result: {exc}") from None
 
 
 def finite_float(text: str) -> float:
@@ -78,11 +93,14 @@ def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -
         # both means are 0, so beta_phi^2 is 0 at every angle
         vals = [_overlap(b1, _width(p2, c, s), 0.0) for b1, (c, s) in zip(b1s, trig[p2.theta])]
         s2_str, fid_str = _fmt(s2), _fmt(fid)
+        diffs = [(val - fid) / fid for val in vals]
+        if not all(map(math.isfinite, diffs)):  # _fmt checked fid; a finite diff means a finite val
+            raise ArithmeticError(f"non-finite overlap at s2={s2_str}")
         # one write per s2 block, so memory stays one block whatever the grid
         stream.write(
             "".join(
-                f"{s2_str},{phi},{val!r},{fid_str},{(val - fid) / fid!r}\n"
-                for phi, val in zip(phi_strs, vals)
+                f"{s2_str},{phi},{val!r},{fid_str},{diff!r}\n"
+                for phi, val, diff in zip(phi_strs, vals, diffs)
             )
         )
 
@@ -95,13 +113,11 @@ def _cmd_fidelity(args) -> int:
     p1, p2 = _load_pair(args)
     fields = vars(fidelity_params(p1, p2))  # the FidelityReport fields, in order
     if args.json:
-        print(json.dumps(fields))
+        print(_json(fields))
     elif args.csv:
-        print(",".join(fields))
-        print(",".join(_fmt(val) for val in fields.values()))
+        print(",".join(fields) + "\n" + ",".join(_fmt(val) for val in fields.values()))
     else:
-        for name, val in fields.items():
-            print(f"{name}={_fmt(val)}")
+        print("\n".join(f"{name}={_fmt(val)}" for name, val in fields.items()))
     return 0
 
 
@@ -147,7 +163,7 @@ def _cmd_min_overlap(args) -> int:
     }
     if args.method == "both":
         out["scan_overlap_min"] = results["scan"][1]
-    print(json.dumps(out))
+    print(_json(out))
     return 0
 
 
@@ -156,7 +172,7 @@ def _cmd_classify(args) -> int:
     p1, p2 = _load_pair(args)
     verdict = classify_pair(p1, p2)
     print(
-        json.dumps(
+        _json(
             {
                 "class": verdict.kind.value,
                 "gap": verdict.gap,
@@ -170,7 +186,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve_s2(args) -> int:
     roots = solve_s2_for_optimality(args.g1, args.g2, args.s1, args.theta)
-    print(json.dumps([{"s2": r.s2, "theta_tilde": r.theta_tilde} for r in roots]))
+    print(_json([{"s2": r.s2, "theta_tilde": r.theta_tilde} for r in roots]))
     return 0
 
 

@@ -6,18 +6,11 @@ class GdistError(Exception):
 
 
 class StateFormatError(GdistError):
-    """A state description (JSON or dict) is malformed.
-
-    ``field`` names the offending key so CLI diagnostics can point at it.
-    """
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    """A state description (JSON or dict) or GDIST_TOL is malformed; the message names the field."""
 
 
 class NonPhysicalStateError(GdistError):
-    """Covariance matrix violates the uncertainty bound det >= 1."""
+    """A state violates the uncertainty bound gamma >= 1 (C positive-definite, det C >= 1)."""
 
 
 class TruncationError(GdistError):

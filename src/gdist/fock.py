@@ -159,10 +159,10 @@ def boundary_mass(op: FockOperator) -> float:
 def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
     """The state at the truncation where it is numerically adequate.
 
-    Starts from the energy heuristic (at least ``min_dim``) and doubles until
-    both the trace deficit and the boundary occupancy are negligible.
+    Starts from the energy heuristic, within [min_dim, ``MAX_AUTO_DIM``], and
+    doubles until both the trace deficit and the boundary occupancy are negligible.
     """
-    d = max(adequate_dim(p), min_dim, 4)
+    d = min(max(adequate_dim(p), min_dim, 4), MAX_AUTO_DIM)
     while True:
         op = _build_fixed(p, d)
         if op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL:
@@ -180,11 +180,12 @@ def build_state(p: GaussianParams, dim: int) -> FockOperator:
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
     D, S exponentials of the truncated generators.  Raises ValueError for
-    dim < 1 and TruncationError when leakage exceeds 1e-6; ``auto_state``
-    grows the truncation instead.
+    dim outside 1..``MAX_AUTO_DIM``, before allocating anything, and
+    TruncationError when leakage exceeds 1e-6; ``auto_state`` grows the
+    truncation instead.
     """
-    if dim < 1:
-        raise ValueError(f"truncation dim must be at least 1, got {dim}")
+    if not 1 <= dim <= MAX_AUTO_DIM:
+        raise ValueError(f"truncation dim must be at least 1 and at most {MAX_AUTO_DIM}, got {dim}")
     op = _build_fixed(p, dim)
     if op.leakage > LEAKAGE_TOL:
         raise TruncationError(

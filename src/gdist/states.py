@@ -5,7 +5,7 @@ alpha_y}`` (thermal width, squeezing degree, squeezing direction, mean
 amplitude) or a 2x2 covariance matrix plus mean vector.  The normalization is
 fixed so the vacuum has covariance equal to the identity and the quadrature
 X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 has vacuum variance 1/4.  Helpers
-take the tolerance as an argument; only ``params_from_covariance`` here,
+take the tolerance as an argument; only the two state forms here,
 ``classify_pair``, ``minimize_overlap`` and the surface solver in ``fidelity``
 read it, from ``default_tol`` (GDIST_TOL, a finite float > 0); the gates it
 decides are listed in the ``optimality`` module docstring.  Both forms
@@ -62,8 +62,9 @@ class GaussianParams:
         theta: squeezing direction in [0, pi); 0 when s = 1.
         alpha_x, alpha_y: mean amplitude components (alpha units).
 
-    Inputs with s < 1 are rewritten as (1/s, theta + pi/2); theta is reduced
-    mod pi.  gamma below 1 by more than ``DEFAULT_TOL`` is rejected.
+    The one validity gate of a state in either form: s < 1 is rewritten as
+    (1/s, theta + pi/2), theta reduced mod pi, and all five fields must be
+    finite.  gamma below 1 by more than ``default_tol()`` is rejected.
     """
 
     gamma: float
@@ -73,27 +74,26 @@ class GaussianParams:
     alpha_y: float = 0.0
 
     def __post_init__(self):
-        gamma = float(self.gamma)
-        s = float(self.s)
-        theta = float(self.theta)
-        if not math.isfinite(gamma) or not math.isfinite(s) or not math.isfinite(theta):
-            raise ValueError("state parameters must be finite")
+        gamma, s, theta = float(self.gamma), float(self.s), float(self.theta)
+        ax, ay = float(self.alpha_x), float(self.alpha_y)
         if s <= 0.0:
             raise ValueError(f"squeezing degree must be positive, got s={s}")
-        if gamma < 1.0 - DEFAULT_TOL:
-            raise NonPhysicalStateError(f"thermal width gamma={gamma} below purity bound 1")
-        gamma = max(gamma, 1.0)
         if s < 1.0:
-            s = 1.0 / s
-            theta = theta + math.pi / 2.0
+            s, theta = 1.0 / s, theta + math.pi / 2.0
+        if not all(map(math.isfinite, (gamma, s, theta, ax, ay))):
+            raise ValueError(f"every field of {self!r} must be finite, as must 1/s when s < 1")
+        if gamma < 1.0:
+            if gamma < 1.0 - default_tol():
+                raise NonPhysicalStateError(f"not a physical state: gamma={gamma} is below 1")
+            gamma = 1.0
         theta = wrap_angle(theta)
         if s == 1.0:
             theta = 0.0
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha_x", float(self.alpha_x))
-        object.__setattr__(self, "alpha_y", float(self.alpha_y))
+        object.__setattr__(self, "alpha_x", ax)
+        object.__setattr__(self, "alpha_y", ay)
 
     @property
     def nbar(self) -> float:
@@ -122,7 +122,7 @@ class CovarianceState:
     def __post_init__(self):
         (c00, c01), (c10, c11) = (map(float, row) for row in self.cov)  # ValueError unless 2x2
         x, y = map(float, self.mean)
-        if abs(c01 - c10) > DEFAULT_TOL * max(1.0, abs(c00), abs(c01), abs(c10), abs(c11)):
+        if abs(c01 - c10) > default_tol() * max(1.0, abs(c00), abs(c01), abs(c10), abs(c11)):
             raise ValueError("covariance matrix is not symmetric")
         off = 0.5 * (c01 + c10)
         object.__setattr__(self, "cov", ((c00, off), (off, c11)))
@@ -159,15 +159,15 @@ def params_from_covariance(c: CovarianceState) -> GaussianParams:
     """Recover the canonical parameters from a covariance state.
 
     gamma = sqrt(det), s = lambda_max / gamma, theta from the major-axis
-    eigenvector.  Raises NonPhysicalStateError when det < 1 - ``default_tol()``;
-    a det within that below 1 is pure, gamma = 1, which ``GaussianParams`` alone
-    rejects below 1 - DEFAULT_TOL.  A round covariance reports s = 1, theta = 0.
+    eigenvector.  Raises NonPhysicalStateError unless cov is positive-definite;
+    ``GaussianParams`` judges gamma as for a state in parameter form.  A round
+    covariance reports s = 1, theta = 0.
     """
-    if not is_physical(c, default_tol()):
+    (a, b), (_, d) = c.cov
+    if not (a > 0.0 and d > 0.0 and c.det > 0.0):
         raise NonPhysicalStateError(
             f"covariance is not a physical state (det={c.det:.6g}, needs >= 1)"
         )
-    (a, b), (_, d) = c.cov
     gamma = math.sqrt(c.det)
     half_span = math.hypot(0.5 * (a - d), b)
     lam_max = 0.5 * (a + d) + half_span
@@ -175,14 +175,7 @@ def params_from_covariance(c: CovarianceState) -> GaussianParams:
         s, theta = 1.0, 0.0
     else:
         s, theta = lam_max / gamma, 0.5 * math.atan2(2.0 * b, a - d)
-    return GaussianParams(max(gamma, 1.0), s, theta, c.mean[0], c.mean[1])
-
-
-def is_physical(c: CovarianceState, tol: float) -> bool:
-    """True iff cov is positive-definite with det >= 1 - tol."""
-    (a, _), (_, d) = c.cov
-    det = c.det
-    return a > 0.0 and d > 0.0 and det > 0.0 and det >= 1.0 - tol
+    return GaussianParams(gamma, s, theta, c.mean[0], c.mean[1])
 
 
 # ---------------------------------------------------------------------------
@@ -190,64 +183,40 @@ def is_physical(c: CovarianceState, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_number(obj, key, where):
+def _field(obj: dict, key: str, where: str, depth: int = 0):
+    """``obj[key]`` as floats: a number (depth 0), a 2-vector (1) or a 2x2 matrix (2)."""
     if key not in obj:
-        raise StateFormatError(f"missing field '{key}' in {where}", field=key)
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise StateFormatError(f"field '{key}' in {where} must be a number", field=key)
-    return float(val)
+        raise StateFormatError(f"missing field '{key}' in {where}")
+    shape = ("a number", "a 2-element array of numbers", "a 2x2 array of numbers")[depth]
 
+    def leaves(val, level):  # the one check of each leaf: a number, not a bool or a string
+        if level == 0 and isinstance(val, (int, float)) and not isinstance(val, bool):
+            return float(val)
+        if level > 0 and isinstance(val, (list, tuple)) and len(val) == 2:
+            return [leaves(item, level - 1) for item in val]
+        raise StateFormatError(f"field '{key}' in {where} must be {shape}")
 
-def _require_pair(obj, key, where):
-    if key not in obj:
-        raise StateFormatError(f"missing field '{key}' in {where}", field=key)
-    val = obj[key]
-    if not isinstance(val, (list, tuple)) or len(val) != 2:
-        raise StateFormatError(
-            f"field '{key}' in {where} must be a 2-element array", field=key
-        )
-    out = []
-    for item in val:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise StateFormatError(
-                f"field '{key}' in {where} must contain numbers", field=key
-            )
-        out.append(float(item))
-    return out
+    return leaves(obj[key], depth)
 
 
 def state_from_dict(data: dict) -> GaussianParams:
-    """Parse a state from the JSON schema (params form or covariance form)."""
+    """Parse a state from the JSON schema (params or cov form); ``GaussianParams`` judges it."""
     if not isinstance(data, dict):
         raise StateFormatError("state description must be a JSON object")
-    if "params" in data:
-        p = data["params"]
-        if not isinstance(p, dict):
-            raise StateFormatError("field 'params' must be an object", field="params")
-        gamma = _require_number(p, "gamma", "'params'")
-        s = _require_number(p, "s", "'params'")
-        theta = _require_number(p, "theta", "'params'")
-        alpha = _require_pair(p, "alpha", "'params'") if "alpha" in p else [0.0, 0.0]
-        try:
-            return GaussianParams(gamma, s, theta, alpha[0], alpha[1])
-        except ValueError as exc:
-            raise StateFormatError(str(exc), field="params") from exc
-    if "cov" in data:
-        cov = data["cov"]
-        if (
-            not isinstance(cov, (list, tuple))
-            or len(cov) != 2
-            or any(not isinstance(row, (list, tuple)) or len(row) != 2 for row in cov)
-        ):
-            raise StateFormatError("field 'cov' must be a 2x2 array", field="cov")
-        mean = _require_pair(data, "mean", "state") if "mean" in data else [0.0, 0.0]
-        try:
-            state = CovarianceState(cov, mean)
-        except (ValueError, TypeError) as exc:
-            raise StateFormatError(f"invalid 'cov': {exc}", field="cov") from exc
-        return params_from_covariance(state)
-    raise StateFormatError("state needs either a 'params' or a 'cov' field", field="params")
+    try:
+        if "params" in data:
+            p = data["params"]
+            if not isinstance(p, dict):
+                raise StateFormatError("field 'params' must be an object")
+            gamma, s, theta = (_field(p, key, "'params'") for key in ("gamma", "s", "theta"))
+            alpha = _field(p, "alpha", "'params'", 1) if "alpha" in p else [0.0, 0.0]
+            return GaussianParams(gamma, s, theta, *alpha)
+        if "cov" in data:
+            mean = _field(data, "mean", "state", 1) if "mean" in data else [0.0, 0.0]
+            return params_from_covariance(CovarianceState(_field(data, "cov", "state", 2), mean))
+    except ValueError as exc:
+        raise StateFormatError(str(exc)) from exc
+    raise StateFormatError("state needs either a 'params' or a 'cov' field")
 
 
 def load_state(path: str) -> GaussianParams:

@@ -71,10 +71,19 @@ class TestFidelityCommand:
         assert code == 0
         assert "fidelity=1.0" in out
 
-    def test_tolerance_governs_cov_physicality(self, tmp_path, vac, monkeypatch, capsys):
-        # det = 1 - 2e-7: physical under GDIST_TOL=1e-6, read as the vacuum
-        path = tmp_path / "cov.json"
-        path.write_text(json.dumps({"cov": [[0.9999999, 0.0], [0.0, 0.9999999]]}))
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"cov": [[0.9999999, 0.0], [0.0, 0.9999999]]},  # det = 1 - 2e-7
+            # the same gamma = 1 - 5e-7 in both forms gets the same verdict
+            {"params": {"gamma": 1.0 - 5e-7, "s": 1.0, "theta": 0.0}},
+            {"cov": [[1.0 - 5e-7, 0.0], [0.0, 1.0 - 5e-7]]},
+        ],
+    )
+    def test_tolerance_governs_physicality(self, tmp_path, vac, monkeypatch, capsys, state):
+        # physical under GDIST_TOL=1e-6 and read as the vacuum; rejected at the default
+        path = tmp_path / "near_vacuum.json"
+        path.write_text(json.dumps(state))
         sq = write_state(tmp_path, "sq.json", GaussianParams(2.0, 3.0, 0.4))
         monkeypatch.setenv("GDIST_TOL", "1e-6")
         code, out = run_cli(["classify", "--a", str(path), "--b", sq])
@@ -82,7 +91,8 @@ class TestFidelityCommand:
         assert out == run_cli(["classify", "--a", vac, "--b", sq])[1]
         monkeypatch.delenv("GDIST_TOL")
         assert main(["classify", "--a", str(path), "--b", sq]) == 2
-        assert "physical" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "physical" in err
 
 
 class TestErrorHandling:
@@ -133,10 +143,58 @@ class TestErrorHandling:
         assert "squeeze parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "state",
+        [
+            {"params": {"gamma": 2.0, "s": 1.0, "theta": 0.0, "alpha": [math.nan, 0.0]}},
+            {"cov": [[2.0, 0.0], [0.0, 2.0]], "mean": [math.inf, 0.0]},
+            {"params": {"gamma": 2.0, "s": 5e-324, "theta": 0.0}},  # 1/s overflows
+            {"cov": [["4", 0.0], [0.0, 1.0]]},
+            {"cov": [[True, 0.0], [0.0, 4.0]]},
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "fidelity",
+            "overlap --phi 0.3",
+            "profile",
+            "min-overlap --method both",
+            "classify",
+            "povm-scan",
+            "oracle-check",
+        ],
+    )
+    def test_invalid_state_exits_2(self, tmp_path, vac, capsys, command, state):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(state))  # NaN and Infinity as json.load reads them
+        assert main([*command.split(), "--a", vac, "--b", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve-s2 --g1 2 --g2 4 --s1 1e200 --theta 0",
+            "fidelity --a BIG --b BIG2",
+            "fidelity --json --a BIG --b BIG2",
+            "classify --a BIG --b BIG2",
+        ],
+    )
+    def test_overflowing_result_exits_1(self, tmp_path, argv, capsys):
+        # finite inputs whose results overflow: (s - 1)(s + 1) at s = 1e200
+        big = write_state(tmp_path, "big.json", GaussianParams(1.0, 1e200, 0.0))
+        big2 = write_state(tmp_path, "big2.json", GaussianParams(1.0, 1e200, 0.3))
+        argv = [{"BIG": big, "BIG2": big2}.get(arg, arg) for arg in argv.split()]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "numeric failure" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "oracle-check --a STATE --b STATE --dim 0",
             "oracle-check --a STATE --b STATE --dim -3",
+            "oracle-check --a STATE --b STATE --dim 1025",
             "solve-s2 --g1 nan --g2 4 --s1 2 --theta 1",
             "solve-s2 --g1 inf --g2 4 --s1 2 --theta 1",
             "solve-s2 --g1 2 --g2 4 --s1 nan --theta 1",
@@ -160,7 +218,7 @@ class TestErrorHandling:
         out, err = capsys.readouterr()
         assert code == 2
         assert "error" in err
-        assert not any(word in out for word in ("nan", "NaN", "inf"))
+        assert out == ""
 
 
 class TestOverlapCommands:
@@ -496,7 +554,7 @@ EAGER_EXPORTS = """
     fidelity_fock marginal_fock overlap_fock overlap_at OptimalityVerdict PairClass S2Root
     classify_pair minimize_overlap minimize_overlap_general ratio_extremes
     solve_s2_for_optimality thermal_ratio_sum ConjectureScan conjecture_scan povm_overlap
-    CovarianceState GaussianParams covariance_from_params is_physical load_state
+    CovarianceState GaussianParams covariance_from_params load_state
     params_from_covariance state_from_dict
 """.split()
 

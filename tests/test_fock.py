@@ -118,8 +118,8 @@ class TestBuildState:
         with pytest.raises(TruncationError):
             build_state(GaussianParams(21.0), 12)  # nbar = 10 in a tiny space
 
-    def test_rejects_empty_truncation(self):
-        for dim in (0, -3):
+    def test_rejects_truncation_out_of_range(self):
+        for dim in (0, -3, fock.MAX_AUTO_DIM + 1, 10**9):  # raised before anything is allocated
             with pytest.raises(ValueError, match="at least 1"):
                 build_state(GaussianParams(1.0), dim)
 
@@ -141,6 +141,13 @@ class TestBuildState:
     def test_auto_dim_grows_for_hot_states(self):
         assert auto_state(GaussianParams(1.0)).dim <= 32
         assert auto_state(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0)).dim >= 150
+
+    def test_auto_dim_starts_within_the_ceiling(self):
+        # the heuristic asks for dim 40,020 here; one build at the ceiling shows it is too small
+        with pytest.raises(TruncationError, match="dim > 1024"):
+            auto_state(GaussianParams(1e4))
+        # heuristic 1,042 (|alpha|^2 = 127.7), but the coherent state fits within the ceiling
+        assert auto_state(GaussianParams(1.0, 1.0, 0.0, 11.3, 0.0)).dim == fock.MAX_AUTO_DIM
 
 
 class TestFidelityFock:

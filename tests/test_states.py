@@ -11,12 +11,11 @@ from gdist import (
     NonPhysicalStateError,
     StateFormatError,
     covariance_from_params,
-    is_physical,
     params_from_covariance,
     state_from_dict,
 )
 from gdist.optimality import PairClass, classify_pair
-from gdist.states import DEFAULT_TOL, default_tol, load_state
+from gdist.states import default_tol, load_state
 
 from conftest import random_params
 from crosscheck import characteristic_fn, wigner_fn
@@ -43,6 +42,15 @@ class TestCanonicalization:
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             GaussianParams(1.0, s=-2.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2.0, 1.0, 0.0, math.nan), (2.0, 1.0, 0.0, 0.0, -math.inf), (2.0, 5e-324), (math.nan,)],
+    )
+    def test_rejects_non_finite_fields(self, args):
+        # 5e-324 is finite, but its canonical form 1/s is not
+        with pytest.raises(ValueError, match="finite"):
+            GaussianParams(*args)
 
     def test_derived_quantities(self):
         p = GaussianParams(3.0, math.e**2, 0.0, 1.0, -2.0)
@@ -122,20 +130,26 @@ class TestParamsFromCovariance:
             params_from_covariance(CovarianceState(np.diag([0.5, 0.5])))
 
 
-class TestIsPhysical:
+class TestPhysicality:
     def test_vacuum(self):
-        assert is_physical(CovarianceState(np.eye(2)), DEFAULT_TOL)
+        assert params_from_covariance(CovarianceState(np.eye(2))) == GaussianParams(1.0)
 
-    def test_violates_uncertainty(self):
-        assert not is_physical(CovarianceState(np.diag([0.5, 0.5])), DEFAULT_TOL)
+    @pytest.mark.parametrize("diag", [[0.5, 0.5], [-1.0, -1.0], [-4.0, -0.25]])
+    def test_violates_uncertainty(self, diag):
+        # the last two have det 1 but are not positive-definite
+        with pytest.raises(NonPhysicalStateError, match="physical"):
+            params_from_covariance(CovarianceState(np.diag(diag)))
 
     def test_pure_squeezed(self):
-        assert is_physical(CovarianceState(np.diag([4.0, 0.25])), DEFAULT_TOL)
+        c = CovarianceState(np.diag([4.0, 0.25]))
+        assert params_from_covariance(c) == GaussianParams(1.0, 4.0)
 
-    def test_tolerance_band(self):
+    def test_tolerance_band(self, monkeypatch):
         c = CovarianceState((1.0 - 2e-10) * np.eye(2))
-        assert is_physical(c, tol=1e-9)
-        assert not is_physical(c, tol=1e-12)
+        assert params_from_covariance(c) == GaussianParams(1.0)
+        monkeypatch.setenv("GDIST_TOL", "1e-12")
+        with pytest.raises(NonPhysicalStateError):
+            params_from_covariance(c)
 
 
 class TestCharacteristicFn:
@@ -236,13 +250,11 @@ class TestJsonSchema:
     def test_missing_field_named(self):
         with pytest.raises(StateFormatError) as err:
             state_from_dict({"params": {"s": 1.0, "theta": 0.0}})
-        assert err.value.field == "gamma"
         assert "gamma" in str(err.value)
 
     def test_bad_cov_shape(self):
-        with pytest.raises(StateFormatError) as err:
+        with pytest.raises(StateFormatError, match="'cov'"):
             state_from_dict({"cov": [[1.0, 0.0]]})
-        assert err.value.field == "cov"
 
     def test_non_numeric_rejected(self):
         with pytest.raises(StateFormatError):
@@ -277,11 +289,9 @@ class TestToleranceOverride:
         monkeypatch.setenv("GDIST_TOL", "1e-6")
         assert default_tol() == 1e-6
         c = CovarianceState((1.0 - 1e-7) * np.eye(2))
-        assert is_physical(c, default_tol())  # accepted under the loosened tolerance
-        # ... and read as the vacuum, not rejected by GaussianParams' fixed bound
+        # accepted under the loosened tolerance, and read as the vacuum
         assert params_from_covariance(c) == GaussianParams(1.0)
         monkeypatch.delenv("GDIST_TOL")
-        assert not is_physical(c, default_tol())
         with pytest.raises(NonPhysicalStateError):
             params_from_covariance(c)
 
