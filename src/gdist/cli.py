@@ -78,15 +78,15 @@ def emit_figure_data(which: str, s2_range: tuple, phi_steps: int, stream=None) -
     lo, hi, steps = s2_range
     if steps < 2 or phi_steps < 2:
         raise ValueError("figure sweep needs at least 2 steps on each axis")
-    stream.write("s2,phi,I_phi,F,norm_diff\n")
+    sweep = [(s2, GaussianParams(g2, s2, theta_tilde)) for s2 in linspace(lo, hi, steps)]
+    stream.write("s2,phi,I_phi,F,norm_diff\n")  # only once every state of the sweep is valid
     phis = linspace(0.0, math.pi, phi_steps, endpoint=False)
     phi_strs = [repr(phi) for phi in phis]
     p1 = GaussianParams(g1, s1, 0.0)
     # overlap_at's arithmetic, with each term that depends on the angle alone computed once
     b1s = [_width(p1, math.cos(phi - p1.theta), math.sin(phi - p1.theta)) for phi in phis]
     trig = {}  # cos, sin of phi - theta for each theta p2 takes (s2 <= 1 turns it)
-    for s2 in linspace(lo, hi, steps):
-        p2 = GaussianParams(g2, s2, theta_tilde)
+    for s2, p2 in sweep:
         if p2.theta not in trig:
             trig[p2.theta] = [(math.cos(phi - p2.theta), math.sin(phi - p2.theta)) for phi in phis]
         fid = fidelity_params(p1, p2).fidelity
@@ -111,7 +111,7 @@ def _load_pair(args) -> tuple[GaussianParams, GaussianParams]:
 
 def _cmd_fidelity(args) -> int:
     p1, p2 = _load_pair(args)
-    fields = vars(fidelity_params(p1, p2))  # the FidelityReport fields, in order
+    fields = fidelity_params(p1, p2)._asdict()  # the FidelityReport fields, in order
     if args.json:
         print(_json(fields))
     elif args.csv:

@@ -33,21 +33,17 @@ thermal excess, so ``solve_s2_for_optimality`` solves it here, beside D - 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .states import GaussianParams, default_tol, wrap_angle
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(namedtuple(
+    "FidelityReport", "fidelity delta_cap delta_low exponent bures_distance_sq uhlmann_angle"
+)):
     """Fidelity together with the intermediate quantities and derived metrics."""
 
-    fidelity: float
-    delta_cap: float
-    delta_low: float
-    exponent: float
-    bures_distance_sq: float
-    uhlmann_angle: float
+    __slots__ = ()
 
 
 #: pi - math.pi, the part of pi that a double cannot hold.
@@ -135,16 +131,14 @@ def fidelity_params(p1: GaussianParams, p2: GaussianParams) -> FidelityReport:
     return _fidelity(p1, p2, squeeze_excess(p1, p2))
 
 
-@dataclass(frozen=True)
-class S2Root:
+class S2Root(namedtuple("S2Root", "s2 theta_tilde")):
     """Solution of the mixed/mixed equality surface, canonicalized to s2 >= 1.
 
     A sub-unity raw root is reported as (1/root, theta_tilde + pi/2); both
     describe the same second state.
     """
 
-    s2: float
-    theta_tilde: float
+    __slots__ = ()
 
 
 def _thermal(g: float) -> float:

@@ -22,7 +22,6 @@ tridiagonal, so exp(tA) follows from the eigenpairs of T in real arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -39,21 +38,18 @@ MAX_AUTO_DIM = 1024
 WEIGHT_FLOOR = 1e-20
 
 
-@dataclass(frozen=True, eq=False)
 class FockOperator:
     """A state in a truncated number basis as its factor L (dim x rank), rho = L L^dag.
 
-    Positive semidefinite by construction; ``matrix`` is formed on first read.
+    Positive semidefinite by construction; ``matrix`` is formed on first read; compares by identity.
     """
 
-    factor: np.ndarray
-
-    def __post_init__(self):
-        f = np.ascontiguousarray(self.factor, dtype=complex)
+    def __init__(self, factor):
+        f = np.ascontiguousarray(factor, dtype=complex)
         if f.ndim != 2:
             raise ValueError(f"factor must be a matrix, got shape {f.shape}")
         f.setflags(write=False)
-        object.__setattr__(self, "factor", f)
+        self.factor = f
 
     @property
     def dim(self) -> int:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import UnsupportedPairError
@@ -62,8 +62,9 @@ class PairClass(Enum):
     IDENTICAL_STATES = "IdenticalStates"
 
 
-@dataclass(frozen=True)
-class OptimalityVerdict:
+class OptimalityVerdict(namedtuple(
+    "OptimalityVerdict", "kind gap witness_phi condition_residual", defaults=(None, None)
+)):
     """Classification of a state pair with numeric witnesses.
 
     ``gap`` is min_phi I_phi - F with F the fidelity of the pair, and 0.0
@@ -73,10 +74,7 @@ class OptimalityVerdict:
     tolerance gates behind ``kind`` are listed in the module docstring.
     """
 
-    kind: PairClass
-    gap: float
-    witness_phi: float | None = None
-    condition_residual: float | None = None
+    __slots__ = ()
 
 
 def ratio_extremes(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:

@@ -23,7 +23,7 @@ question; ``conjecture_scan`` only collects numerical evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fidelity import _adjugates, fidelity_params
 from .homodyne import _width
@@ -73,19 +73,14 @@ def povm_overlap(p1: GaussianParams, p2: GaussianParams, r: float, theta_u: floa
     return _family_overlap(p1, p2, _inverse_squeeze(r), terms, _adjugates(p1, p2), cap)
 
 
-@dataclass(frozen=True, eq=False)
-class ConjectureScanRow:
-    r: float
-    min_overlap: float
+class ConjectureScanRow(namedtuple("ConjectureScanRow", "r min_overlap")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ConjectureScan:
+class ConjectureScan(namedtuple("ConjectureScan", "rows homodyne_min fidelity")):
     """Evidence table for the large-r conjecture on one state pair."""
 
-    rows: list[ConjectureScanRow]
-    homodyne_min: float
-    fidelity: float
+    __slots__ = ()
 
 
 def conjecture_scan(p1: GaussianParams, p2: GaussianParams, r_grid, theta_grid) -> ConjectureScan:

@@ -9,8 +9,8 @@ take the tolerance as an argument; only the two state forms here,
 ``classify_pair``, ``minimize_overlap`` and the surface solver in ``fidelity``
 read it, from ``default_tol`` (GDIST_TOL, a finite float > 0); the gates it
 decides are listed in the ``optimality`` module docstring.  Both forms
-hold plain floats, and ``covariance_entries`` is the one scalar kernel of the
-covariance entries, so this module never loads numpy.
+are named tuples of plain floats, and ``covariance_entries`` is the one scalar
+kernel of the covariance entries, so this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
 from .errors import NonPhysicalStateError, StateFormatError
 
@@ -52,8 +53,7 @@ def wrap_angle(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class GaussianParams:
+class GaussianParams(namedtuple("GaussianParams", "gamma s theta alpha_x alpha_y")):
     """Canonical five-parameter form of a single-mode Gaussian state.
 
     Attributes:
@@ -62,26 +62,22 @@ class GaussianParams:
         theta: squeezing direction in [0, pi); 0 when s = 1.
         alpha_x, alpha_y: mean amplitude components (alpha units).
 
-    The one validity gate of a state in either form: s < 1 is rewritten as
-    (1/s, theta + pi/2), theta reduced mod pi, and all five fields must be
-    finite.  gamma below 1 by more than ``default_tol()`` is rejected.
+    ``__new__`` is the one validity gate of a state in either form: s < 1 is
+    rewritten as (1/s, theta + pi/2), theta reduced mod pi, and all five fields
+    must be finite.  gamma below 1 by more than ``default_tol()`` is rejected.
     """
 
-    gamma: float
-    s: float = 1.0
-    theta: float = 0.0
-    alpha_x: float = 0.0
-    alpha_y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        gamma, s, theta = float(self.gamma), float(self.s), float(self.theta)
-        ax, ay = float(self.alpha_x), float(self.alpha_y)
+    def __new__(cls, gamma, s=1.0, theta=0.0, alpha_x=0.0, alpha_y=0.0):
+        gamma, s, theta, ax, ay = map(float, (gamma, s, theta, alpha_x, alpha_y))
         if s <= 0.0:
             raise ValueError(f"squeezing degree must be positive, got s={s}")
+        if not all(map(math.isfinite, (gamma, s, 1.0 / s, theta, ax, ay))):
+            fields = super().__new__(cls, gamma, s, theta, ax, ay)
+            raise ValueError(f"every field of {fields!r} must be finite, as must 1/s when s < 1")
         if s < 1.0:
             s, theta = 1.0 / s, theta + math.pi / 2.0
-        if not all(map(math.isfinite, (gamma, s, theta, ax, ay))):
-            raise ValueError(f"every field of {self!r} must be finite, as must 1/s when s < 1")
         if gamma < 1.0:
             if gamma < 1.0 - default_tol():
                 raise NonPhysicalStateError(f"not a physical state: gamma={gamma} is below 1")
@@ -89,11 +85,9 @@ class GaussianParams:
         theta = wrap_angle(theta)
         if s == 1.0:
             theta = 0.0
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha_x", ax)
-        object.__setattr__(self, "alpha_y", ay)
+        return super().__new__(cls, gamma, s, theta, ax, ay)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace goes through __new__
 
     @property
     def nbar(self) -> float:
@@ -112,21 +106,20 @@ class GaussianParams:
     def is_pure(self, tol: float) -> bool:
         return self.gamma <= 1.0 + tol
 
-@dataclass(frozen=True, eq=False)
-class CovarianceState:
+class CovarianceState(namedtuple("CovarianceState", "cov mean")):
     """Covariance-matrix form: 2x2 symmetric ``cov`` and 2-vector ``mean``, as float tuples."""
 
-    cov: tuple[tuple[float, float], tuple[float, float]]
-    mean: tuple[float, float] = (0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        (c00, c01), (c10, c11) = (map(float, row) for row in self.cov)  # ValueError unless 2x2
-        x, y = map(float, self.mean)
+    def __new__(cls, cov, mean=(0.0, 0.0)):
+        (c00, c01), (c10, c11) = (map(float, row) for row in cov)  # ValueError unless 2x2
+        x, y = map(float, mean)
         if abs(c01 - c10) > default_tol() * max(1.0, abs(c00), abs(c01), abs(c10), abs(c11)):
             raise ValueError("covariance matrix is not symmetric")
         off = 0.5 * (c01 + c10)
-        object.__setattr__(self, "cov", ((c00, off), (off, c11)))
-        object.__setattr__(self, "mean", (x, y))
+        return super().__new__(cls, ((c00, off), (off, c11)), (x, y))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace goes through __new__
 
     @property
     def det(self) -> float:
@@ -191,7 +184,8 @@ def _field(obj: dict, key: str, where: str, depth: int = 0):
 
     def leaves(val, level):  # the one check of each leaf: a number, not a bool or a string
         if level == 0 and isinstance(val, (int, float)) and not isinstance(val, bool):
-            return float(val)
+            if isinstance(val, float) or abs(val) <= sys.float_info.max:  # float(10**400) overflows
+                return float(val)
         if level > 0 and isinstance(val, (list, tuple)) and len(val) == 2:
             return [leaves(item, level - 1) for item in val]
         raise StateFormatError(f"field '{key}' in {where} must be {shape}")

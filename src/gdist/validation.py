@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fidelity import fidelity_params
 from .fock import auto_state, build_state, fidelity_fock, overlap_fock
@@ -18,19 +18,12 @@ ORACLE_TOL = 1e-6
 DEFAULT_ANGLES = (0.0, math.pi / 3)
 
 
-@dataclass(frozen=True)
-class OracleCheckRow:
+class OracleCheckRow(namedtuple(
+    "OracleCheckRow", "label p1 p2 dim fid_closed fid_fock fid_dev overlap_dev_max passed"
+)):
     """Deviations between closed forms and the oracle for one state pair."""
 
-    label: str
-    p1: GaussianParams
-    p2: GaussianParams
-    dim: int
-    fid_closed: float
-    fid_fock: float
-    fid_dev: float
-    overlap_dev_max: float
-    passed: bool
+    __slots__ = ()
 
 
 def stratified_pairs() -> list[tuple[str, GaussianParams, GaussianParams]]:

@@ -150,6 +150,8 @@ class TestErrorHandling:
             {"params": {"gamma": 2.0, "s": 5e-324, "theta": 0.0}},  # 1/s overflows
             {"cov": [["4", 0.0], [0.0, 1.0]]},
             {"cov": [[True, 0.0], [0.0, 4.0]]},
+            {"params": {"gamma": 10**399, "s": 1.0, "theta": 0.0}},  # too large for a float
+            {"cov": [[4.0, 0.0], [0.0, 10**399]]},
         ],
     )
     @pytest.mark.parametrize(
@@ -202,6 +204,9 @@ class TestErrorHandling:
             "profile --a STATE --b STATE --steps 0",
             "figure --which fig4 --s2-steps 0",
             "figure --which fig4 --phi-steps 0",
+            "figure --which fig4 --s2-min 0",  # invalid second states: no header either
+            "figure --which fig4 --s2-min -1",
+            "figure --which fig4 --s2-min 1e-320",  # 1/s overflows
             "povm-scan --a STATE --b STATE --theta-steps 0",
             "povm-scan --a STATE --b STATE --r-steps 0",
             "oracle-check --sweep random --count 0",
@@ -603,6 +608,7 @@ class TestColdImports:
             "        assert gdist.cli.main(argv) == 0, argv\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(loaded)\n"
+            "assert 'dataclasses' not in sys.modules\n"
         )
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr

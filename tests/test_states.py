@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -51,6 +53,30 @@ class TestCanonicalization:
         # 5e-324 is finite, but its canonical form 1/s is not
         with pytest.raises(ValueError, match="finite"):
             GaussianParams(*args)
+
+    def test_replace_and_make_pass_the_gate(self):
+        p = GaussianParams(2, 0.5, 0.1)
+        with pytest.raises(NonPhysicalStateError):
+            p._replace(gamma=0.5)
+        q = p._replace(s=0.25)  # (2, 0.25, 0.1 + pi) is (2, 4, 0.1)
+        assert q == GaussianParams(2.0, 4.0, 0.1 + math.pi) and q.s == 4.0
+        assert GaussianParams._make([2, 0.5, 0.1]) == p
+        with pytest.raises(ValueError):
+            CovarianceState(np.eye(2))._replace(cov=((1.0, 0.5), (0.0, 1.0)))
+
+    def test_copies_and_pickles_are_canonical(self):
+        p = GaussianParams(3.0, 0.2, 2.0, 0.5, -0.5)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(q) is GaussianParams and q == p
+        forged = tuple.__new__(GaussianParams, (0.5, 1.0, 0.0, 0.0, 0.0))  # skips __new__
+        with pytest.raises(NonPhysicalStateError):
+            pickle.loads(pickle.dumps(forged))
+
+    @pytest.mark.parametrize("name, value", [("gamma", 3.0), ("extra", 1)])
+    def test_fields_are_frozen(self, name, value):
+        p = GaussianParams(2.0)
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
 
     def test_derived_quantities(self):
         p = GaussianParams(3.0, math.e**2, 0.0, 1.0, -2.0)
