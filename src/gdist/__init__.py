@@ -19,7 +19,7 @@ _EXPORTS = {
         ("errors", "UnsupportedPairError"),
         ("fidelity", "FidelityReport S2Root fidelity_params solve_s2_for_optimality"),
         ("fidelity", "thermal_ratio_sum"),
-        ("fock", "FockOperator adequate_dim auto_state build_state fidelity_fock"),
+        ("fock", "FockOperator auto_states build_state fidelity_fock"),
         ("fock", "marginal_fock overlap_fock"),
         ("homodyne", "overlap_at"),
         ("optimality", "OptimalityVerdict PairClass classify_pair minimize_overlap"),

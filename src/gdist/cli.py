@@ -224,19 +224,16 @@ def _random_pairs(count: int, seed: int):
 
 
 def _cmd_oracle_check(args) -> int:
-    from .validation import oracle_check_pair, run_oracle_sweep
+    from .validation import oracle_check_pair, stratified_pairs
     if args.a or args.b:
         if not (args.a and args.b):
             raise StateFormatError("oracle-check needs both --a and --b (or --sweep)")
-        p1, p2 = _load_pair(args)
-        rows = [oracle_check_pair(p1, p2, dim=args.dim)]
+        pairs = [("pair", *_load_pair(args))]
     elif args.sweep == "default":
-        rows = run_oracle_sweep(dim=args.dim)
+        pairs = stratified_pairs()
     else:
-        rows = [
-            oracle_check_pair(p1, p2, dim=args.dim, label=label)
-            for label, p1, p2 in _random_pairs(args.count, args.seed)
-        ]
+        pairs = _random_pairs(args.count, args.seed)
+    rows = [oracle_check_pair(p1, p2, dim=args.dim, label=label) for label, p1, p2 in pairs]
     failed = 0
     print(_ORACLE_HEADER)  # only once every row is computed, so a bad input prints nothing
     for row in rows:

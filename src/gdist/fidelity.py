@@ -188,7 +188,7 @@ def solve_s2_for_optimality(g1: float, g2: float, s1: float, theta_tilde: float)
     if not all(map(math.isfinite, (g1, g2, s1, theta_tilde))):
         raise ValueError("g1, g2, s1 and theta_tilde must be finite")
     tol = default_tol()
-    if g1 <= 1.0 + tol or g2 <= 1.0 + tol:
+    if g1 - 1.0 <= tol or g2 - 1.0 <= tol:
         raise ValueError("equality surface applies to mixed states only (gamma > 1)")
     if s1 < 1.0:
         raise ValueError("s1 must be canonical (>= 1)")

@@ -8,6 +8,8 @@ the rest of the package.  Each state is held as the exact square root
 L = D S sqrt(rho_T) of rho = D S rho_T S^dag D^dag = L L^dag, so no state is
 eigendecomposed (a marginal forms the real part of the rotated rho).  Marginals
 are sampled on one grid per truncation, cached with its Hermite table.
+``auto_states`` measures a pair's truncation on the ladder 150, 300, 600, 1024,
+the four dims the eigen caches below hold.
 
 The squeeze and displacement exponentials are exact exponentials of the
 truncated generators, taken through eigendecompositions computed once per
@@ -30,6 +32,7 @@ from .errors import TruncationError
 from .states import GaussianParams
 
 LEAKAGE_TOL = 1e-6
+MIN_DIM = 150
 AUTO_LEAKAGE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 MAX_AUTO_DIM = 1024
@@ -125,20 +128,9 @@ def _row_phases(angle: float, dim: int) -> np.ndarray:
     return np.exp(1j * angle * np.arange(dim))[:, None]
 
 
-def _squeeze_blocks(r: float, dim: int) -> list[np.ndarray]:
-    """Real orthogonal exp[(r/2)(a^dag^2 - a^2)] on the even and odd levels."""
-    return [_orthogonal_core(eigen, 0.5 * r) for eigen in _squeeze_eigen(dim)]
-
-
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
     ratio = nbar / (nbar + 1.0)
     return ratio ** np.arange(dim) / (nbar + 1.0)
-
-
-def adequate_dim(p: GaussianParams) -> int:
-    """Truncation heuristic: grows with thermal, squeeze, and displacement energy."""
-    energy = p.nbar + math.sinh(p.r) ** 2 + abs(p.alpha) ** 2
-    return int(math.ceil(20.0 + 8.0 * energy))
 
 
 def boundary_mass(op: FockOperator) -> float:
@@ -152,21 +144,28 @@ def boundary_mass(op: FockOperator) -> float:
     return float(np.sum(op.populations[-window:]))
 
 
-def auto_state(p: GaussianParams, min_dim: int = 0) -> FockOperator:
-    """The state at the truncation where it is numerically adequate.
+def auto_states(*params: GaussianParams) -> list[FockOperator]:
+    """The states at the first dim of the ladder where every one is numerically adequate.
 
-    Starts from the energy heuristic, within [min_dim, ``MAX_AUTO_DIM``], and
-    doubles until both the trace deficit and the boundary occupancy are negligible.
+    The ladder is ``MIN_DIM`` 2^k capped at ``MAX_AUTO_DIM``: 150, 300, 600, 1024.
+    Adequate means a trace deficit below ``AUTO_LEAKAGE_TOL`` and a boundary
+    occupancy below ``BOUNDARY_TOL``.  A state found short moves all of them up
+    a rung; at the ceiling TruncationError names the first state still short.
     """
-    d = min(max(adequate_dim(p), min_dim, 4), MAX_AUTO_DIM)
+    d = MIN_DIM
     while True:
-        op = _build_fixed(p, d)
-        if op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL:
-            return op
+        ops = []
+        for p in params:
+            op = _build_fixed(p, d)
+            if not (op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL):
+                break
+            ops.append(op)
+        else:
+            return ops
         if d >= MAX_AUTO_DIM:
             raise TruncationError(
-                f"state needs dim > {MAX_AUTO_DIM} (leakage {op.leakage:.3g}, "
-                f"boundary mass {boundary_mass(op):.3g} at dim {d})"
+                f"{p!r} needs dim > {d} (leakage {op.leakage:.3g}, "
+                f"boundary mass {boundary_mass(op):.3g})"
             )
         d = min(2 * d, MAX_AUTO_DIM)
 
@@ -177,7 +176,7 @@ def build_state(p: GaussianParams, dim: int) -> FockOperator:
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
     D, S exponentials of the truncated generators.  Raises ValueError for
     dim outside 1..``MAX_AUTO_DIM``, before allocating anything, and
-    TruncationError when leakage exceeds 1e-6; ``auto_state`` grows the
+    TruncationError when leakage exceeds 1e-6; ``auto_states`` grows the
     truncation instead.
     """
     if not 1 <= dim <= MAX_AUTO_DIM:
@@ -202,10 +201,10 @@ def _build_fixed(p: GaussianParams, dim: int) -> FockOperator:
     w = thermal_weights(p.nbar, dim)
     root = np.sqrt(w[w >= WEIGHT_FLOOR * w[0]])
     core = np.eye(dim, root.size) * root
-    if p.s != 1.0:
-        for parity, k in enumerate(_squeeze_blocks(p.r, dim)):
+    if p.s != 1.0:  # K_s = exp[(r/2)(a^dag^2 - a^2)] on the even and odd levels
+        for parity, eigen in enumerate(_squeeze_eigen(dim)):
             cols = root[parity::2]
-            core[parity::2, parity::2] = k[:, : cols.size] * cols
+            core[parity::2, parity::2] = _orthogonal_core(eigen, 0.5 * p.r)[:, : cols.size] * cols
     if p.alpha == 0.0:
         return FockOperator(_row_phases(p.theta, dim) * core)
     phi = math.atan2(p.alpha_y, p.alpha_x)
@@ -221,7 +220,7 @@ def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
     trace norm of L1^dag L2: the sum of its singular values, which roundoff
     moves by eps rather than by sqrt(eps) as it does the eigenvalues of the
     sandwich product; a non-finite factor raises LinAlgError.  Operators of
-    different truncations (``auto_state`` picks one per state) compare in the
+    different truncations (``build_state`` takes any dim) compare in the
     larger space, where the smaller factor has zero rows past its dim, so
     only the first min(dim) rows of each factor enter.
     """

@@ -79,7 +79,7 @@ class GaussianParams(namedtuple("GaussianParams", "gamma s theta alpha_x alpha_y
         if s < 1.0:
             s, theta = 1.0 / s, theta + math.pi / 2.0
         if gamma < 1.0:
-            if gamma < 1.0 - default_tol():
+            if 1.0 - gamma > default_tol():
                 raise NonPhysicalStateError(f"not a physical state: gamma={gamma} is below 1")
             gamma = 1.0
         theta = wrap_angle(theta)
@@ -104,7 +104,7 @@ class GaussianParams(namedtuple("GaussianParams", "gamma s theta alpha_x alpha_y
         return complex(self.alpha_x, self.alpha_y)
 
     def is_pure(self, tol: float) -> bool:
-        return self.gamma <= 1.0 + tol
+        return self.gamma - 1.0 <= tol
 
 class CovarianceState(namedtuple("CovarianceState", "cov mean")):
     """Covariance-matrix form: 2x2 symmetric ``cov`` and 2-vector ``mean``, as float tuples."""
@@ -220,6 +220,6 @@ def load_state(path: str) -> GaussianParams:
             data = json.load(fh)
     except OSError as exc:
         raise StateFormatError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise StateFormatError(f"malformed JSON in {path}: {exc}") from exc
     return state_from_dict(data)

@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from .fidelity import fidelity_params
-from .fock import auto_state, build_state, fidelity_fock, overlap_fock
+from .fock import auto_states, build_state, fidelity_fock, overlap_fock
 from .homodyne import overlap_at
 from .states import GaussianParams
 
@@ -57,18 +57,11 @@ def oracle_check_pair(
     Overlaps are compared at the angles ``DEFAULT_ANGLES``; the pair passes
     when every deviation is within ``ORACLE_TOL``.
 
-    The default truncation starts at 150 and is enlarged automatically when
-    a state still has weight near the cutoff there; the state needing less
-    is then rebuilt at the larger truncation.  Each call builds its own two
-    states and holds them for the fidelity and every angle.
+    Without ``dim``, both states take the one truncation ``auto_states``
+    finds adequate for the pair on the ladder 150, 300, 600, 1024.  Each call
+    builds its own two states and holds them for the fidelity and every angle.
     """
-    if dim is None:
-        rho1, rho2 = auto_state(p1, min_dim=150), auto_state(p2, min_dim=150)
-        dim = max(rho1.dim, rho2.dim)
-        rho1 = rho1 if rho1.dim == dim else build_state(p1, dim)
-        rho2 = rho2 if rho2.dim == dim else build_state(p2, dim)
-    else:
-        rho1, rho2 = build_state(p1, dim), build_state(p2, dim)
+    rho1, rho2 = auto_states(p1, p2) if dim is None else [build_state(p, dim) for p in (p1, p2)]
     fid_closed = fidelity_params(p1, p2).fidelity
     fid_fock = fidelity_fock(rho1, rho2)
     fid_dev = abs(fid_closed - fid_fock)
@@ -78,10 +71,7 @@ def oracle_check_pair(
         oracle = overlap_fock(rho1, rho2, phi)
         overlap_dev = max(overlap_dev, abs(closed - oracle))
     passed = fid_dev <= ORACLE_TOL and overlap_dev <= ORACLE_TOL
-    return OracleCheckRow(label, p1, p2, dim, fid_closed, fid_fock, fid_dev, overlap_dev, passed)
+    return OracleCheckRow(
+        label, p1, p2, rho1.dim, fid_closed, fid_fock, fid_dev, overlap_dev, passed
+    )
 
-
-def run_oracle_sweep(dim: int | None = None) -> list[OracleCheckRow]:
-    return [
-        oracle_check_pair(p1, p2, dim=dim, label=label) for label, p1, p2 in stratified_pairs()
-    ]

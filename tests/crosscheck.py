@@ -36,7 +36,7 @@ from gdist.fock import (
     _displacement_eigen,
     _orthogonal_core,
     _quadrature_table,
-    _squeeze_blocks,
+    _squeeze_eigen,
     hermite_functions,
     marginal_fock,
 )
@@ -429,8 +429,8 @@ def squeeze_op(r: float, theta: float, dim: int) -> np.ndarray:
     in the number parity.
     """
     core = np.zeros((dim, dim))
-    for parity, block in enumerate(_squeeze_blocks(r, dim)):
-        core[parity::2, parity::2] = block
+    for parity, eigen in enumerate(_squeeze_eigen(dim)):
+        core[parity::2, parity::2] = _orthogonal_core(eigen, 0.5 * r)
     return _conjugate_by_phases(core, theta)
 
 

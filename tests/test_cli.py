@@ -152,6 +152,8 @@ class TestErrorHandling:
             {"cov": [[True, 0.0], [0.0, 4.0]]},
             {"params": {"gamma": 10**399, "s": 1.0, "theta": 0.0}},  # too large for a float
             {"cov": [[4.0, 0.0], [0.0, 10**399]]},
+            # an integer past the interpreter's digit limit fails in json.load itself
+            pytest.param('{"params": {"gamma": 1' + "0" * 5000 + ', "s": 1.0}}', id="digits"),
         ],
     )
     @pytest.mark.parametrize(
@@ -168,10 +170,13 @@ class TestErrorHandling:
     )
     def test_invalid_state_exits_2(self, tmp_path, vac, capsys, command, state):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(state))  # NaN and Infinity as json.load reads them
+        # NaN and Infinity as json.load reads them
+        bad.write_text(state if isinstance(state, str) else json.dumps(state))
         assert main([*command.split(), "--a", vac, "--b", str(bad)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "error" in err
+        if isinstance(state, str):
+            assert f"malformed JSON in {bad}" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -552,10 +557,10 @@ class TestPovmScanCommand:
             assert abs(value / reference - 1) < 1e-13, row
 
 
-#: Every name ``gdist`` exported when its __init__ still imported each submodule.
+#: Every public name of ``gdist``; each must resolve through the lazy exports.
 EAGER_EXPORTS = """
     GdistError NonPhysicalStateError StateFormatError TruncationError UnsupportedPairError
-    FidelityReport fidelity_params FockOperator adequate_dim auto_state build_state
+    FidelityReport fidelity_params FockOperator auto_states build_state
     fidelity_fock marginal_fock overlap_fock overlap_at OptimalityVerdict PairClass S2Root
     classify_pair minimize_overlap minimize_overlap_general ratio_extremes
     solve_s2_for_optimality thermal_ratio_sum ConjectureScan conjecture_scan povm_overlap

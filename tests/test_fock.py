@@ -8,7 +8,7 @@ from gdist import (
     FockOperator,
     GaussianParams,
     TruncationError,
-    auto_state,
+    auto_states,
     build_state,
     fidelity_fock,
     fidelity_params,
@@ -62,14 +62,17 @@ class TestStructuredExponentials:
 
 class TestBuildState:
     def test_auto_state_equals_fresh_build(self):
-        for p in (
+        params = (
             GaussianParams(1.0),
             GaussianParams(2.0, 3.0, 0.4, 0.6, -1.1),
             GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0),  # needs a doubling
-        ):
-            op = auto_state(p)
+        )
+        for p in params:
+            (op,) = auto_states(p)
             fresh = fock._build_fixed(p, op.dim)
             assert np.array_equal(op.factor, fresh.factor)
+        for op, p in zip(auto_states(*params), params):
+            assert op.dim == 600 and np.array_equal(op.factor, fock._build_fixed(p, 600).factor)
 
     def test_vacuum(self):
         rho = build_state(GaussianParams(1.0), 10)
@@ -134,20 +137,39 @@ class TestBuildState:
                 rng.uniform(1, 4), rng.uniform(1, 4), rng.uniform(0, math.pi),
                 rng.uniform(-1, 1), rng.uniform(-1, 1),
             )
-            rho = auto_state(p)
+            (rho,) = auto_states(p)
             assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_auto_dim_grows_for_hot_states(self):
-        assert auto_state(GaussianParams(1.0)).dim <= 32
-        assert auto_state(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0)).dim >= 150
+        assert [op.dim for op in auto_states(GaussianParams(1.0))] == [fock.MIN_DIM]
+        assert [op.dim for op in auto_states(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0))] == [600]
+        assert [op.dim for op in auto_states(GaussianParams(30.0))] == [600]
+        assert [op.dim for op in auto_states(GaussianParams(1.0, 60.0))] == [fock.MAX_AUTO_DIM]
 
-    def test_auto_dim_starts_within_the_ceiling(self):
-        # the heuristic asks for dim 40,020 here; one build at the ceiling shows it is too small
+    def test_auto_dim_climbs_the_ladder_to_the_ceiling(self, monkeypatch):
+        built = []
+        build = fock._build_fixed
+        monkeypatch.setattr(fock, "_build_fixed", lambda p, d: built.append(d) or build(p, d))
         with pytest.raises(TruncationError, match="dim > 1024"):
-            auto_state(GaussianParams(1e4))
-        # heuristic 1,042 (|alpha|^2 = 127.7), but the coherent state fits within the ceiling
-        assert auto_state(GaussianParams(1.0, 1.0, 0.0, 11.3, 0.0)).dim == fock.MAX_AUTO_DIM
+            auto_states(GaussianParams(1e4))
+        assert built == [150, 300, 600, 1024]
+        # |alpha|^2 = 127.7, yet the coherent state is adequate two rungs below the ceiling
+        assert [op.dim for op in auto_states(GaussianParams(1.0, 1.0, 0.0, 11.3, 0.0))] == [300]
+
+    def test_pair_shares_one_dim(self):
+        vacuum, coherent = GaussianParams(1.0), GaussianParams(1.0, 1.0, 0.0, 11.3, 0.0)
+        assert [op.dim for op in auto_states(vacuum)] == [150]
+        assert [op.dim for op in auto_states(coherent)] == [300]
+        for pair in ((vacuum, coherent), (coherent, vacuum)):
+            assert [op.dim for op in auto_states(*pair)] == [300, 300]
+
+    def test_ceiling_error_names_the_short_state(self):
+        fine, short = GaussianParams(2.0, 1.5, 0.3), GaussianParams(1e4, 1.0, 0.0, 0.5, 0.0)
+        for pair in ((fine, short), (short, fine)):
+            with pytest.raises(TruncationError) as info:
+                auto_states(*pair)
+            assert str(info.value).startswith(repr(short)) and repr(fine) not in str(info.value)
 
 
 class TestFidelityFock:
@@ -189,8 +211,7 @@ class TestFidelityFock:
 
     def test_automatic_truncations_differ(self):
         p1, p2 = GaussianParams(1.5, 2.0, 0.3), GaussianParams(2.0, 1.5, 1.1, 0.4, -0.2)
-        a, b = auto_state(p1), auto_state(p2)
-        assert (a.dim, b.dim) == (46, 52)
+        a, b = build_state(p1, 46), build_state(p2, 52)
         assert abs(fidelity_fock(a, b) - fidelity_params(p1, p2).fidelity) < 1e-8
 
     def test_tangency_configuration(self):
@@ -357,6 +378,20 @@ class TestOverlapFock:
 
 
 class TestOracleCheckPair:
+    @pytest.mark.parametrize(
+        "p1, p2, dim",
+        [
+            (GaussianParams(1.0, 1.0, 0.0, 8.0, 0.0), GaussianParams(1.0, 1.0, 0.0, 8.1, 0.0), 150),
+            (GaussianParams(1.0, 1.0, 0.0, 11.3, 0.0), GaussianParams(1.5, 2.0, 0.3, 11.0, 0.5), 300),
+            (GaussianParams(1.0, 1.0, 0.0, 3.0, 4.0), GaussianParams(1.5, 2.0, 0.5, 3.2, 3.7), 150),
+            (GaussianParams(1.5, 3.0, 0.2, 6.0, -2.0), GaussianParams(2.0, 2.0, 1.0, 5.5, -2.5), 300),
+            (GaussianParams(1.0, 1.0, 0.0, 4.5, 0.0), GaussianParams(1.2, 1.3, 0.7, 0.1, -0.1), 150),
+        ],
+    )
+    def test_high_energy_pairs_pass_on_the_ladder(self, p1, p2, dim):
+        row = oracle_check_pair(p1, p2)
+        assert row.passed and row.dim == dim and dim in (150, 300, 600, 1024)
+
     def test_reference_pair_passes(self):
         row = oracle_check_pair(
             GaussianParams(3.0, 2.0, 0.0), GaussianParams(1.5, 5.0, math.pi / 6, 1.0, 0.5)

@@ -846,6 +846,12 @@ class TestSolveS2:
         with pytest.raises(ValueError):
             solve_s2_for_optimality(1.0, 3.0, 2.0, 0.0)
 
+    def test_purity_gate_is_gamma_minus_one(self):
+        # gamma - 1 = 1.0000000827e-9 > tol, though gamma <= 1 + tol rounds true
+        g1 = 1.000000001
+        assert g1 - 1.0 > DEFAULT_TOL and g1 <= 1.0 + DEFAULT_TOL
+        assert len(solve_s2_for_optimality(g1, 4.0, 2.0, 1.0)) == 2
+
     def test_rejects_sub_unity_s1(self):
         with pytest.raises(ValueError):
             solve_s2_for_optimality(2.0, 3.0, 0.5, 0.0)
@@ -1031,6 +1037,12 @@ class TestClassifyPair:
         monkeypatch.setenv("GDIST_TOL", "1e-6")
         v = classify_pair(GaussianParams(1.0 + 5e-7), GaussianParams(1.0 + 5e-7, 2.0, 0.3))
         assert v.kind is PairClass.PURE_PURE_ALWAYS_OPTIMAL
+
+    def test_purity_gate_is_gamma_minus_one(self):
+        # gamma - 1 = 1.0000000827e-9 > tol: both states are mixed, not pure
+        g = 1.000000001
+        v = classify_pair(GaussianParams(g), GaussianParams(g, 2.0, 0.3))
+        assert v.kind is PairClass.MIXED_MIXED_NOT_OPTIMAL
 
     def test_tight_tolerance_sees_nearly_pure_state(self, monkeypatch):
         # 1 - F = 2.5000002068196775e-11 and the minimal overlap is 1 to 1e-21,

@@ -41,6 +41,14 @@ class TestCanonicalization:
         with pytest.raises(NonPhysicalStateError):
             GaussianParams(0.5)
 
+    def test_gamma_gate_is_one_minus_gamma(self, monkeypatch):
+        # 1 - gamma = 1.000000000003e-6 > tol, though gamma < 1 - tol rounds false
+        monkeypatch.setenv("GDIST_TOL", "1e-6")
+        assert 1.0 - 0.999999 > 1e-6 and not 0.999999 < 1.0 - 1e-6
+        with pytest.raises(NonPhysicalStateError):
+            GaussianParams(0.999999)
+        assert GaussianParams(1.0 - 5e-7) == GaussianParams(1.0)
+
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             GaussianParams(1.0, s=-2.0)
