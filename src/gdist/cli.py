@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("default", "random"), default="default")
     p.add_argument("--a", help="first state JSON file (overrides --sweep)")
     p.add_argument("--b", help="second state JSON file")
-    p.add_argument("--dim", type=positive_int, default=None, help="Fock truncation")
+    p.add_argument("--dim", type=positive_int, help="the pair's one truncation (default: measured)")
     p.add_argument("--count", type=positive_int, default=20, help="random-sweep size")
     p.add_argument("--seed", type=int, default=0, help="random-sweep seed")
     p.set_defaults(func=_cmd_oracle_check)

@@ -8,8 +8,8 @@ the rest of the package.  Each state is held as the exact square root
 L = D S sqrt(rho_T) of rho = D S rho_T S^dag D^dag = L L^dag, so no state is
 eigendecomposed (a marginal forms the real part of the rotated rho).  Marginals
 are sampled on one grid per truncation, cached with its Hermite table.
-``auto_states`` measures a pair's truncation on the ladder 150, 300, 600, 1024,
-the four dims the eigen caches below hold.
+``auto_states`` holds a pair at the first adequate rung of ``LADDER``, no build
+exceeds its last rung, and each per-dim cache below holds one entry per rung.
 
 The squeeze and displacement exponentials are exact exponentials of the
 truncated generators, taken through eigendecompositions computed once per
@@ -31,11 +31,9 @@ import numpy as np
 from .errors import TruncationError
 from .states import GaussianParams
 
+LADDER = (150, 300, 600, 1024)
 LEAKAGE_TOL = 1e-6
-MIN_DIM = 150
-AUTO_LEAKAGE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
-MAX_AUTO_DIM = 1024
 #: Thermal components lighter than this, relative to the heaviest, are left
 #: out of a state's factor; each moves F or an overlap by about sqrt(1e-20).
 WEIGHT_FLOOR = 1e-20
@@ -89,13 +87,13 @@ def _tridiagonal_eigen(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=len(LADDER))
 def _displacement_eigen(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a + a^dag, the tridiagonal image of a^dag - a."""
     return _tridiagonal_eigen(np.sqrt(np.arange(1.0, dim)))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=len(LADDER))
 def _squeeze_eigen(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Eigenpairs for the even and odd blocks of a^dag^2 - a^2 (levels parity::2)."""
     blocks = []
@@ -138,36 +136,34 @@ def boundary_mass(op: FockOperator) -> float:
 
     The squeeze and displacement exponentials are unitary on the truncated
     space, so the trace deficit alone cannot see their truncation error;
-    weight piling up at the cutoff can.
+    weight piling up at the cutoff can.  Near-uniform populations escape it: a
+    thermal state with gamma ~ 2e11 has boundary mass below ``BOUNDARY_TOL`` at
+    dim 150 yet leakage near 1, so ``auto_states`` tests the trace deficit too.
     """
     window = max(4, op.dim // 16)
     return float(np.sum(op.populations[-window:]))
 
 
 def auto_states(*params: GaussianParams) -> list[FockOperator]:
-    """The states at the first dim of the ladder where every one is numerically adequate.
+    """The states at the first dim of ``LADDER`` where every one is numerically adequate.
 
-    The ladder is ``MIN_DIM`` 2^k capped at ``MAX_AUTO_DIM``: 150, 300, 600, 1024.
-    Adequate means a trace deficit below ``AUTO_LEAKAGE_TOL`` and a boundary
+    Adequate means a trace deficit below ``LEAKAGE_TOL`` and a boundary
     occupancy below ``BOUNDARY_TOL``.  A state found short moves all of them up
-    a rung; at the ceiling TruncationError names the first state still short.
+    a rung; past the last rung TruncationError names the first state still short.
     """
-    d = MIN_DIM
-    while True:
+    for dim in LADDER:
         ops = []
         for p in params:
-            op = _build_fixed(p, d)
-            if not (op.leakage < AUTO_LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL):
+            op = _build_fixed(p, dim)
+            if not (op.leakage < LEAKAGE_TOL and boundary_mass(op) < BOUNDARY_TOL):
                 break
             ops.append(op)
         else:
             return ops
-        if d >= MAX_AUTO_DIM:
-            raise TruncationError(
-                f"{p!r} needs dim > {d} (leakage {op.leakage:.3g}, "
-                f"boundary mass {boundary_mass(op):.3g})"
-            )
-        d = min(2 * d, MAX_AUTO_DIM)
+    raise TruncationError(
+        f"{p!r} needs dim > {dim} (leakage {op.leakage:.3g}, "
+        f"boundary mass {boundary_mass(op):.3g})"
+    )
 
 
 def build_state(p: GaussianParams, dim: int) -> FockOperator:
@@ -175,12 +171,12 @@ def build_state(p: GaussianParams, dim: int) -> FockOperator:
 
     rho = D S rho_T S^dag D^dag with rho_T the diagonal thermal state and
     D, S exponentials of the truncated generators.  Raises ValueError for
-    dim outside 1..``MAX_AUTO_DIM``, before allocating anything, and
-    TruncationError when leakage exceeds 1e-6; ``auto_states`` grows the
-    truncation instead.
+    dim outside 1..``LADDER[-1]``, before allocating anything, and
+    TruncationError when leakage exceeds ``LEAKAGE_TOL``; ``auto_states`` grows
+    the truncation instead.
     """
-    if not 1 <= dim <= MAX_AUTO_DIM:
-        raise ValueError(f"truncation dim must be at least 1 and at most {MAX_AUTO_DIM}, got {dim}")
+    if not 1 <= dim <= LADDER[-1]:
+        raise ValueError(f"truncation dim must be at least 1 and at most {LADDER[-1]}, got {dim}")
     op = _build_fixed(p, dim)
     if op.leakage > LEAKAGE_TOL:
         raise TruncationError(
@@ -214,18 +210,14 @@ def _build_fixed(p: GaussianParams, dim: int) -> FockOperator:
 
 
 def fidelity_fock(a: FockOperator, b: FockOperator) -> float:
-    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) from the factors, without eigensolves.
+    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) of two states at one truncation, without eigensolves.
 
     With rho_i = L_i L_i^dag (``FockOperator.factor``), the fidelity is the
     trace norm of L1^dag L2: the sum of its singular values, which roundoff
     moves by eps rather than by sqrt(eps) as it does the eigenvalues of the
-    sandwich product; a non-finite factor raises LinAlgError.  Operators of
-    different truncations (``build_state`` takes any dim) compare in the
-    larger space, where the smaller factor has zero rows past its dim, so
-    only the first min(dim) rows of each factor enter.
+    sandwich product; a non-finite factor raises LinAlgError.
     """
-    rows = min(a.dim, b.dim)
-    overlap = a.factor[:rows].conj().T @ b.factor[:rows]
+    overlap = a.factor.conj().T @ b.factor
     return float(np.sum(np.linalg.svd(overlap, compute_uv=False)))
 
 
@@ -241,7 +233,7 @@ def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=len(LADDER))
 def _quadrature_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The overlap grid of a ``dim``-level truncation and h_0..h_{dim-1} on sqrt(2) times it.
 
@@ -250,7 +242,7 @@ def _quadrature_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     h_{dim-1}, where every h_n is below 1e-10 for dim >= 4.  The spacing, at
     most 1/(2 sqrt(dim)), is a factor pi inside the Nyquist spacing of the
     fastest product psi_m psi_n, so the trapezoid rule converges geometrically
-    (774 points at dim 150).  Two entries hold the oracle's default dims 150, 300.
+    (774 points at dim 150).
     """
     x_max = (math.sqrt(2.0 * dim - 1.0) + 5.0) / math.sqrt(2.0)
     grid = np.linspace(-x_max, x_max, math.ceil(4.0 * x_max * math.sqrt(dim)) + 1)
@@ -285,8 +277,8 @@ def marginal_fock(
 
 
 def overlap_fock(a: FockOperator, b: FockOperator, phi: float) -> float:
-    """Bhattacharyya overlap of the two homodyne marginals on the larger truncation's grid."""
-    grid, table = _quadrature_table(max(a.dim, b.dim))
+    """Bhattacharyya overlap of the homodyne marginals of two states at one truncation."""
+    grid, table = _quadrature_table(a.dim)
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))

@@ -58,7 +58,7 @@ def oracle_check_pair(
     when every deviation is within ``ORACLE_TOL``.
 
     Without ``dim``, both states take the one truncation ``auto_states``
-    finds adequate for the pair on the ladder 150, 300, 600, 1024.  Each call
+    finds adequate for the pair on ``fock.LADDER``.  Each call
     builds its own two states and holds them for the fidelity and every angle.
     """
     rho1, rho2 = auto_states(p1, p2) if dim is None else [build_state(p, dim) for p in (p1, p2)]

@@ -450,10 +450,10 @@ def husimi_fock(a: FockOperator, alpha: complex) -> float:
 
 
 def overlap_fock_4001(a: FockOperator, b: FockOperator, phi: float) -> float:
-    """Bhattacharyya overlap of the oracle marginals on 4001 points of the per-dim span."""
-    span, _ = _quadrature_table(max(a.dim, b.dim))
+    """Bhattacharyya overlap of the oracle marginals on 4001 points of their truncation's span."""
+    span, _ = _quadrature_table(a.dim)
     grid = np.linspace(span[0], span[-1], 4001)
-    table = hermite_functions(max(a.dim, b.dim), math.sqrt(2.0) * grid)
+    table = hermite_functions(a.dim, math.sqrt(2.0) * grid)
     pa = np.clip(marginal_fock(a, phi, grid, table), 0.0, None)
     pb = np.clip(marginal_fock(b, phi, grid, table), 0.0, None)
     return float(np.trapezoid(np.sqrt(pa * pb), grid))

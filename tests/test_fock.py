@@ -122,7 +122,7 @@ class TestBuildState:
             build_state(GaussianParams(21.0), 12)  # nbar = 10 in a tiny space
 
     def test_rejects_truncation_out_of_range(self):
-        for dim in (0, -3, fock.MAX_AUTO_DIM + 1, 10**9):  # raised before anything is allocated
+        for dim in (0, -3, fock.LADDER[-1] + 1, 10**9):  # raised before anything is allocated
             with pytest.raises(ValueError, match="at least 1"):
                 build_state(GaussianParams(1.0), dim)
 
@@ -142,10 +142,10 @@ class TestBuildState:
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_auto_dim_grows_for_hot_states(self):
-        assert [op.dim for op in auto_states(GaussianParams(1.0))] == [fock.MIN_DIM]
+        assert [op.dim for op in auto_states(GaussianParams(1.0))] == [fock.LADDER[0]]
         assert [op.dim for op in auto_states(GaussianParams(5.0, 5.0, 0.0, 2.0, 0.0))] == [600]
         assert [op.dim for op in auto_states(GaussianParams(30.0))] == [600]
-        assert [op.dim for op in auto_states(GaussianParams(1.0, 60.0))] == [fock.MAX_AUTO_DIM]
+        assert [op.dim for op in auto_states(GaussianParams(1.0, 60.0))] == [fock.LADDER[-1]]
 
     def test_auto_dim_climbs_the_ladder_to_the_ceiling(self, monkeypatch):
         built = []
@@ -163,6 +163,15 @@ class TestBuildState:
         assert [op.dim for op in auto_states(coherent)] == [300]
         for pair in ((vacuum, coherent), (coherent, vacuum)):
             assert [op.dim for op in auto_states(*pair)] == [300, 300]
+
+    def test_leakage_decides_for_near_uniform_populations(self):
+        # so hot that the weight is spread evenly: nothing piles up at the cutoff,
+        # yet nearly all of it lies past every rung
+        for gamma in (2e11, 1e12):
+            op = fock._build_fixed(GaussianParams(gamma), fock.LADDER[0])
+            assert fock.boundary_mass(op) < fock.BOUNDARY_TOL and op.leakage > 0.99
+            with pytest.raises(TruncationError, match=r"needs dim > 1024 \(leakage 1,"):
+                auto_states(GaussianParams(gamma))
 
     def test_ceiling_error_names_the_short_state(self):
         fine, short = GaussianParams(2.0, 1.5, 0.3), GaussianParams(1e4, 1.0, 0.0, 0.5, 0.0)
@@ -202,17 +211,6 @@ class TestFidelityFock:
         for a, b in ((broken, fine), (fine, broken)):
             with pytest.raises(np.linalg.LinAlgError):
                 fidelity_fock(a, b)
-
-    def test_dimension_mismatch_uses_shared_rows(self):
-        # a truncated state embeds in the larger space with zero rows
-        small, large = build_state(GaussianParams(1.0), 10), build_state(GaussianParams(1.0), 12)
-        assert abs(fidelity_fock(small, large) - 1.0) < 1e-12
-        assert abs(fidelity_fock(small, large) - fidelity_fock(large, small)) < 1e-14
-
-    def test_automatic_truncations_differ(self):
-        p1, p2 = GaussianParams(1.5, 2.0, 0.3), GaussianParams(2.0, 1.5, 1.1, 0.4, -0.2)
-        a, b = build_state(p1, 46), build_state(p2, 52)
-        assert abs(fidelity_fock(a, b) - fidelity_params(p1, p2).fidelity) < 1e-8
 
     def test_tangency_configuration(self):
         a = build_state(GaussianParams(2.0, 2.0, 0.0), 120)
@@ -374,7 +372,11 @@ class TestOverlapFock:
             (GaussianParams(1.0), GaussianParams(2.0, 1.0, 0.0, -0.5, 0.3)),
         ):
             assert oracle_check_pair(p1, p2, dim=150).passed
-        assert calls == [150]
+        for dim in (*fock.LADDER, 150, 300):  # all four rungs fit, so 150 and 300 are not rebuilt
+            fock._quadrature_table(dim)
+        assert calls == [150, 300, 600, 1024]
+        for cache in (fock._displacement_eigen, fock._squeeze_eigen, fock._quadrature_table):
+            assert cache.cache_info().maxsize == len(fock.LADDER)
 
 
 class TestOracleCheckPair:
