@@ -500,6 +500,15 @@ class TestOracleCheckCommand:
         assert code == 2
         assert out == ""
 
+    def test_state_past_the_ladder_exits_1(self, tmp_path, vac, capsys):
+        # nearly all of this thermal state's weight lies past the top rung,
+        # though too little piles up at any cutoff for the boundary test to see
+        hot = write_state(tmp_path, "hot.json", GaussianParams(1e12))
+        code, out = run_cli(["oracle-check", "--a", hot, "--b", vac])
+        assert code == 1
+        assert out == ""
+        assert "needs dim > 1024 (leakage 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_sweep_passes(self, seed):
         # automatic truncation, as ``oracle-check --sweep random`` runs by default
