@@ -12,8 +12,6 @@ Only ``oracle-check`` and the minimum of a squeezed displaced pair
 (``min-overlap --method analytic|both``, ``povm-scan``) load numpy.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -30,8 +30,6 @@ The mixed/mixed equality surface D = 2T reads D - 4 = 2 (T - 2), T - 2 the
 thermal excess, so ``solve_s2_for_optimality`` solves it here, beside D - 4.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

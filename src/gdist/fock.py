@@ -21,8 +21,6 @@ such matrix A is i V^dag T V with V = diag(i^k) and T real symmetric
 tridiagonal, so exp(tA) follows from the eigenpairs of T in real arithmetic.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, lru_cache
 

@@ -8,8 +8,6 @@ Their overlap I_phi has one kernel, the scalar ``_overlap``, which the scan
 calls too, so this module runs on ``math`` alone.
 """
 
-from __future__ import annotations
-
 import math
 
 from .states import GaussianParams, wrap_angle

@@ -12,10 +12,10 @@ with D the squeeze mismatch; they depend on the pair only through
 form (``_round_minimum``).  In general, with u = 2 phi, the widths and
 the squared mean offset are first-degree trigonometric polynomials in u,
 so the critical points of log I_phi are the roots of one of degree 3:
-``minimize_overlap_general`` samples it at 7 angles, takes its roots from
-a companion matrix and polishes them with safeguarded Newton steps, with
-no grid.  One evaluation, ``_overlap_slopes``, serves the samples and the
-polish.
+``minimize_overlap_general`` samples it at 7 angles, takes one angle per
+root pair from a real companion matrix (``_critical_angles``) and polishes
+them with safeguarded Newton steps, with no grid.  One evaluation,
+``_overlap_slopes``, serves the samples and the polish.
 
 ``classify_pair`` is the one classifier.  It reads the tolerance
 (``default_tol``, overridable through GDIST_TOL) once and decides every
@@ -36,8 +36,6 @@ Every scalar I_phi comes from ``homodyne._overlap`` and only
 ``_critical_angles`` loads numpy, so the verdicts and the same-mean and
 round minima need ``math`` alone.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -146,10 +144,12 @@ def minimize_overlap(p1: GaussianParams, p2: GaussianParams) -> tuple[float, flo
     return minimize_overlap_general(p1, p2)
 
 
-#: Coefficients below this fraction of the largest sampled term of the
-#: numerator are roundoff left by its cancellations; trimming them drops
-#: only roots far from the unit circle (round pairs: degree 1).
+#: Laurent coefficients below this fraction of the largest sampled term of
+#: N are roundoff; the largest |m| whose c_m or c_-m passes sets the degree
+#: d, and trimming drops only roots far from the unit circle (round: d = 1).
 _COEFF_TRIM = 1e-13
+#: Stationary: slope^2 <= _FLAT |second|, a Newton step moves log I by under an ulp.
+_FLAT = 2.2e-16
 #: Cap on the iterates of one safeguarded Newton descent; bisections of a
 #: bracket up to 3e-3 wide reach float resolution well within it.
 _POLISH_STEPS = 60
@@ -169,8 +169,18 @@ def _sample_tables():
     return (0.5 * sample_u).tolist(), dft
 
 
+@functools.cache
+def _cayley_table(j: int, d: int):
+    """Real map from the 7 samples to (1 + t^2)^d N, top power first; built on first use."""
+    import numpy as np
+    # u = u_j + pi + 2 arctan t: (1 + t^2)^d e^{imu} = e^{imu_j} (t - i)^{d+m} (t + i)^{d-m}
+    turns = np.exp(2j * np.pi * j / 7.0 * np.arange(-d, d + 1))[:, None]  # e^{imu_j}
+    rows = [np.poly([1j] * (d + m) + [-1j] * (d - m)) for m in range(-d, d + 1)]
+    return (np.array(rows).T @ (turns * _sample_tables()[1][3 - d : 4 + d])).real
+
+
 def _critical_angles(slopes_at) -> list[float]:
-    """Approximate critical angles of log I_phi, from a companion matrix.
+    """Approximate critical angles of log I_phi, from a real companion matrix.
 
     With u = 2 phi, b1, b2 and beta_phi^2 are first-degree trigonometric
     polynomials in u, so with P = b1 b2 and S = b1 + b2 the numerator that
@@ -181,23 +191,27 @@ def _critical_angles(slopes_at) -> list[float]:
     has degree at most 4 by counting.  The top harmonics of S P' - 2 P S'
     and of Q S' - S Q' cancel, so the degree is at most 3: its 7 samples at
     u_k = 2 pi k / 7 give the Laurent coefficients c_-3 .. c_3 exactly, and
-    at most 6 roots remain after trimming.  They are the arguments of the
-    eigenvalues of the companion matrix of z^3 times the Laurent series
-    (Boyd, Solving Transcendental Equations, SIAM 2014).
-    Every eigenvalue yields an angle, including those off the unit circle;
-    the caller evaluates them all.
+    the trim leaves degree d.  The Cayley map u = u_j + pi + 2 arctan t, u_j
+    the sample with the largest |N|, turns N into a real polynomial of degree
+    2d led by N(u_j) (``_cayley_table``), whose real companion matrix (Boyd,
+    Solving Transcendental Equations, SIAM 2014) has its roots as eigenvalues:
+    real, or in exact conjugate pairs, the images of the roots z, 1/z* off the
+    unit circle of z = e^{iu}.  Each root with Im t >= 0 gives one angle,
+    phi_j + pi/2 + Re(arctan t); the caller evaluates them all.
     """
     import numpy as np
     phis, dft = _sample_tables()
     _, _, _, numer, scale = zip(*map(slopes_at, phis))
-    coeffs = dft @ np.array(numer)
-    keep = np.flatnonzero(np.abs(coeffs) > _COEFF_TRIM * max(scale))
-    if keep.size < 2:
+    cut, sizes = _COEFF_TRIM * max(scale), np.abs(dft @ numer).tolist()
+    d = max((abs(m - 3) for m, size in enumerate(sizes) if size > cut), default=0)
+    if d == 0:
         return []
-    poly = coeffs[keep[0] : keep[-1] + 1]
-    companion = np.eye(poly.size - 1, k=-1, dtype=complex)
-    companion[:, -1] = -poly[:-1] / poly[-1]
-    return (np.angle(np.linalg.eigvals(companion)) / 2.0).tolist()
+    j = max(range(7), key=lambda k: abs(numer[k]))
+    poly = _cayley_table(j, d) @ numer
+    companion = np.eye(2 * d, k=-1)
+    companion[0] = -poly[1:] / poly[0]
+    roots = np.linalg.eigvals(companion)
+    return (phis[j] + 0.5 * np.pi + np.arctan(roots[roots.imag >= 0.0]).real).tolist()
 
 
 def _overlap_slopes(p1: GaussianParams, p2: GaussianParams):
@@ -264,8 +278,7 @@ def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far
     moved = hi - lo
     best = (math.inf, phi)
     for _ in range(_POLISH_STEPS):
-        # stationary: a Newton step would change log I by under an ulp
-        if slope * slope <= 2.2e-16 * abs(second):
+        if slope * slope <= _FLAT * abs(second):
             break
         if slope < 0.0:
             lo, neg_lo = phi, True
@@ -291,20 +304,19 @@ def _descend(slopes_at, phi: float, slope: float, second: float, far: float, far
 def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """Global minimum of I_phi for arbitrary means, without a grid.
 
-    Candidates are the critical angles from the companion matrix of the
-    trigonometric slope numerator (``_critical_angles``) plus the narrow
+    Candidates are the critical angles, one per root pair of the slope
+    numerator's companion matrix (``_critical_angles``), plus the narrow
     direction theta + pi/2 of each squeezed state: when the widths span
     many orders of magnitude (s beyond about 1e3, or very unequal gammas)
     the sampled polynomial loses the roots inside that direction's
     O(1/s)-wide dip to roundoff.  dlogI/dphi is evaluated at each candidate
-    from the widths, not from the coefficients, and a candidate that is not
-    stationary descends towards its downhill neighbour by safeguarded
-    Newton steps (``_descend``); when the neighbour's slope points back,
-    only the lower of the two descends.  I_phi is evaluated at every
-    candidate and every iterate, and the smallest value wins; phi = 0 is
-    evaluated only when there is no candidate at all (no critical angle
-    and no squeezed state).  Returns (phi_min, overlap_min) with phi_min
-    in [0, pi).
+    from the widths, not from the coefficients.  A stationary candidate
+    (``_FLAT``) stays; any other descends towards its downhill neighbour by
+    safeguarded Newton steps (``_descend``), and when the neighbour's slope
+    points back, only the lower of the two descends.  I_phi is evaluated at
+    every candidate and every iterate, and the smallest value wins; phi = 0
+    is evaluated only with no candidate at all (no critical angle and no
+    squeezed state).  Returns (phi_min, overlap_min), phi_min in [0, pi).
     """
     slopes_at = _overlap_slopes(p1, p2)
     seeds = [p.theta + 0.5 * math.pi for p in (p1, p2) if p.s > 1.0]
@@ -315,6 +327,8 @@ def minimize_overlap_general(p1: GaussianParams, p2: GaussianParams) -> tuple[fl
     for k, (phi, (value, slope, second, _, _)) in enumerate(zip(angles, found)):
         if value <= best_value:
             best_value, best_phi = value, phi
+        if slope * slope <= _FLAT * abs(second):  # stationary: ``_descend`` would not move
+            continue
         if slope < 0.0:  # downhill towards the next candidate, cyclically
             j = k + 1 if k < last else 0
             far = angles[j] + (0.0 if k < last else math.pi)

@@ -20,8 +20,6 @@ at theta_u.  Whether that limit is the best member of the family is an open
 question; ``conjecture_scan`` only collects numerical evidence.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -13,8 +13,6 @@ are named tuples of plain floats, and ``covariance_entries`` is the one scalar
 kernel of the covariance entries, so this module never loads numpy.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

@@ -1,7 +1,5 @@
 """Cross-validation of the closed forms against the Fock-space oracle."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

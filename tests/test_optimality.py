@@ -298,6 +298,70 @@ class TestMinimizeOverlapGeneral:
             assert numer == pytest.approx(2.0 * b1 * b2 * (b1 + b2) ** 2 * slope, rel=1e-14)
             assert abs(numer) <= 4.0 * largest  # a sum of four terms
 
+    def test_one_angle_per_root_pair(self):
+        # a root pair z, 1/z* off the unit circle is one conjugate pair of the
+        # real companion matrix, so it yields one angle, not two equal ones
+        p1 = GaussianParams(2.0, 3.0, 0.4, 0.1, 0.2)
+        p2 = GaussianParams(1.5, 2.0, 1.1, 1.0, -0.3)
+        angles = _critical_angles(_overlap_slopes(p1, p2))
+        assert angles
+        for k, a in enumerate(angles):
+            assert all(mod_distance(a, b, math.pi) > 1e-9 for b in angles[k + 1 :])
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(state_pairs(s_hi=8.0))
+    def test_every_sign_change_of_the_slope_is_an_angle(self, pair):
+        slopes_at = _overlap_slopes(*pair)
+        angles = _critical_angles(slopes_at)
+        grid = np.linspace(0.0, math.pi, 4097)
+        signs = [slopes_at(phi)[1] > 0.0 for phi in grid]
+        for k in range(4096):
+            if signs[k] == signs[k + 1]:
+                continue
+            lo, hi = grid[k], grid[k + 1]
+            for _ in range(40):  # bisect the sign change to well under 1e-6
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (slopes_at(mid)[1] > 0.0) == signs[k] else (lo, mid)
+            assert min(mod_distance(lo, a, math.pi) for a in angles) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            (GaussianParams(2.0, 3.0, 0.4), GaussianParams(1.5, 2.0, 1.1, 1.0, -0.3)),
+            (GaussianParams(1.2, 4.0, 0.3), GaussianParams(3.0, 1.5, 2.0, -0.8, 1.1)),
+            (GaussianParams(1.0, 50.0, 0.7), GaussianParams(2.5, 3.0, 0.2, 0.4, -0.6)),
+        ],
+    )
+    def test_minimum_within_two_ulp_of_mpmath(self, p1, p2):
+        # an independent reference: a 50-digit root of dI/dphi, bracketed by
+        # the neighbours of the lowest point of a 4096-point grid
+        grid = np.linspace(0.0, math.pi, 4096, endpoint=False)
+        start = float(grid[np.argmin(overlap_grid(p1, p2, grid))])
+        step = math.pi / 4096
+        with mpmath.workdps(50):
+
+            def overlap(phi):
+                b1, b2 = (
+                    mpmath.mpf(p.gamma)
+                    * (
+                        mpmath.mpf(p.s) * mpmath.cos(phi - mpmath.mpf(p.theta)) ** 2
+                        + mpmath.sin(phi - mpmath.mpf(p.theta)) ** 2 / mpmath.mpf(p.s)
+                    )
+                    for p in (p1, p2)
+                )
+                dx = mpmath.mpf(p2.alpha_x) - mpmath.mpf(p1.alpha_x)
+                dy = mpmath.mpf(p2.alpha_y) - mpmath.mpf(p1.alpha_y)
+                beta = dx * mpmath.cos(phi) + dy * mpmath.sin(phi)
+                return mpmath.sqrt(2 * mpmath.sqrt(b1 * b2) / (b1 + b2)) * mpmath.exp(
+                    -beta**2 / (b1 + b2)
+                )
+
+            bracket = (mpmath.mpf(start - step), mpmath.mpf(start + step))
+            phi_ref = mpmath.findroot(lambda phi: mpmath.diff(overlap, phi), bracket, "anderson")
+            reference = float(overlap(phi_ref))
+        _, value = minimize_overlap_general(p1, p2)
+        assert abs(value - reference) <= 2.0 * math.ulp(reference)
+
     def test_flat_minimum_angle(self):
         # I_phi is flat to the last bit around phi = 0 here; the angle must
         # still be the critical one, along the mean difference
